@@ -1,14 +1,15 @@
-//! The unified AEAD front: ChaCha20-Poly1305 (RFC 7539 §2.8), AES-128-GCM
-//! (re-exported from [`crate::gcm`]), and the CBC+HMAC encrypt-then-MAC
-//! construction used for session tickets and CBC cipher suites. The record
-//! layer in `ts-tls` goes through these entry points, so every suite picks
-//! up the SIMD fast paths (and the forced-portable fallback) uniformly.
+//! ChaCha20-Poly1305 (RFC 7539 §2.8) and the CBC+HMAC encrypt-then-MAC
+//! construction used for session tickets and CBC cipher suites; AES-128-GCM
+//! lives in [`crate::gcm`]. The record layer in `ts-tls` uses the in-place
+//! ChaCha20-Poly1305 entry points, the per-key [`crate::gcm::Aes128Gcm`]
+//! context and the CBC+HMAC pair, so every suite picks up the SIMD fast
+//! paths (and the forced-portable fallback) uniformly.
 
 use crate::cbc;
 use crate::chacha20::{self, KEY_LEN as CHACHA_KEY_LEN, NONCE_LEN};
 use crate::error::CryptoError;
 use crate::hmac::{hmac_sha256, verify_hmac_sha256};
-use crate::poly1305::{poly1305, TAG_LEN};
+use crate::poly1305::{Poly1305, TAG_LEN};
 
 /// Build the Poly1305 one-time key from the ChaCha20 key/nonce (RFC 7539 §2.6).
 fn poly_key(key: &[u8; CHACHA_KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
@@ -18,16 +19,59 @@ fn poly_key(key: &[u8; CHACHA_KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
     pk
 }
 
-/// Poly1305 input layout: aad || pad || ct || pad || len(aad) || len(ct).
-fn aead_mac_data(aad: &[u8], ciphertext: &[u8]) -> Vec<u8> {
-    let mut data = Vec::with_capacity(aad.len() + ciphertext.len() + 32);
-    data.extend_from_slice(aad);
-    data.extend(std::iter::repeat(0u8).take((16 - aad.len() % 16) % 16));
-    data.extend_from_slice(ciphertext);
-    data.extend(std::iter::repeat(0u8).take((16 - ciphertext.len() % 16) % 16));
-    data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    data.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
-    data
+/// The Poly1305 tag over `aad ‖ pad ‖ ct ‖ pad ‖ len(aad) ‖ len(ct)`,
+/// absorbed piecewise so neither input is copied.
+fn chacha_tag(
+    key: &[u8; CHACHA_KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    ciphertext: &[u8],
+) -> [u8; TAG_LEN] {
+    const ZEROS: [u8; 16] = [0; 16];
+    let mut mac = Poly1305::new(&poly_key(key, nonce));
+    mac.update(aad);
+    mac.update(&ZEROS[..(16 - aad.len() % 16) % 16]);
+    mac.update(ciphertext);
+    mac.update(&ZEROS[..(16 - ciphertext.len() % 16) % 16]);
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.finish()
+}
+
+/// ChaCha20-Poly1305 seal, appending `ciphertext ‖ tag` to `out`.
+pub fn chacha20poly1305_seal_into(
+    key: &[u8; CHACHA_KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    plaintext: &[u8],
+    out: &mut Vec<u8>,
+) {
+    out.reserve(plaintext.len() + TAG_LEN);
+    let start = out.len();
+    out.extend_from_slice(plaintext);
+    chacha20::xor_stream(key, 1, nonce, &mut out[start..]);
+    let tag = chacha_tag(key, nonce, aad, &out[start..]);
+    out.extend_from_slice(&tag);
+}
+
+/// ChaCha20-Poly1305 open of `ciphertext ‖ tag` held in `buf`. The tag is
+/// verified before anything is decrypted; on success the plaintext
+/// replaces the ciphertext in `buf[..n]` and `n` is returned.
+pub fn chacha20poly1305_open_in_place(
+    key: &[u8; CHACHA_KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    buf: &mut [u8],
+) -> Result<usize, CryptoError> {
+    let Some(n) = buf.len().checked_sub(TAG_LEN) else {
+        return Err(CryptoError::BadLength("AEAD input shorter than tag"));
+    };
+    let (ct, tag) = buf.split_at_mut(n);
+    if !crate::ct::ct_eq(&chacha_tag(key, nonce, aad, ct), tag) {
+        return Err(CryptoError::BadMac);
+    }
+    chacha20::xor_stream(key, 1, nonce, ct);
+    Ok(n)
 }
 
 /// ChaCha20-Poly1305 seal: returns ciphertext || 16-byte tag.
@@ -37,11 +81,9 @@ pub fn chacha20poly1305_seal(
     aad: &[u8],
     plaintext: &[u8],
 ) -> Vec<u8> {
-    let mut ct = plaintext.to_vec();
-    chacha20::xor_stream(key, 1, nonce, &mut ct);
-    let tag = poly1305(&poly_key(key, nonce), &aead_mac_data(aad, &ct));
-    ct.extend_from_slice(&tag);
-    ct
+    let mut out = Vec::new();
+    chacha20poly1305_seal_into(key, nonce, aad, plaintext, &mut out);
+    out
 }
 
 /// ChaCha20-Poly1305 open: verifies the tag, returns the plaintext.
@@ -51,38 +93,10 @@ pub fn chacha20poly1305_open(
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if sealed.len() < TAG_LEN {
-        return Err(CryptoError::BadLength("AEAD input shorter than tag"));
-    }
-    let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let expect = poly1305(&poly_key(key, nonce), &aead_mac_data(aad, ct));
-    if !crate::ct::ct_eq(&expect, tag) {
-        return Err(CryptoError::BadMac);
-    }
-    let mut pt = ct.to_vec();
-    chacha20::xor_stream(key, 1, nonce, &mut pt);
-    Ok(pt)
-}
-
-/// AES-128-GCM seal: returns ciphertext || 16-byte tag. Dispatches to the
-/// AES-NI/CLMUL path when the CPU supports it (see [`crate::gcm`]).
-pub fn aes128gcm_seal(
-    key: &[u8; 16],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    plaintext: &[u8],
-) -> Vec<u8> {
-    crate::gcm::seal(key, nonce, aad, plaintext)
-}
-
-/// AES-128-GCM open: verifies the tag, returns the plaintext.
-pub fn aes128gcm_open(
-    key: &[u8; 16],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    sealed: &[u8],
-) -> Result<Vec<u8>, CryptoError> {
-    crate::gcm::open(key, nonce, aad, sealed)
+    let mut buf = sealed.to_vec();
+    let n = chacha20poly1305_open_in_place(key, nonce, aad, &mut buf)?;
+    buf.truncate(n);
+    Ok(buf)
 }
 
 /// Encrypt-then-MAC with AES-128-CBC and HMAC-SHA256.

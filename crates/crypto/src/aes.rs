@@ -379,67 +379,71 @@ pub(crate) mod ni {
         }
     }
 
-    /// Fill `out` with CTR keystream: for each 16-byte block `i`,
-    /// `out[2i..2i+2]` receives `E(K, j0 ‖ be32(first_ctr + i))` as two
-    /// LE `u64` lanes (memory order == keystream byte order). The first
+    /// XOR CTR keystream into `data` in place: 16-byte block `i` is
+    /// XORed with `E(K, j0 ‖ be32(first_ctr + i))`, and a trailing partial
+    /// block with the matching prefix of its keystream block. The first
     /// three nonce words come from `j0`; the big-endian counter word is
-    /// rebuilt per block (GCM `inc32` semantics, wrapping at 2^32).
-    /// Blocks run four abreast to pipeline the `aesenc` latency chain.
-    pub fn ctr_keystream(rk: &[u32; 44], j0: &[u32; 3], first_ctr: u32, out: &mut [u64]) {
-        debug_assert_eq!(out.len() % 2, 0);
+    /// rebuilt per block (GCM `inc32` semantics, wrapping at 2^32). Blocks
+    /// run eight abreast to keep the `aesenc` pipeline full, and no
+    /// keystream is ever written to memory.
+    pub fn ctr_xor(rk: &[u32; 44], j0: &[u32; 3], first_ctr: u32, data: &mut [u8]) {
         // SAFETY: `available()` gates every call site on CPUID.
-        unsafe { ctr_keystream_impl(rk, j0, first_ctr, out) }
+        unsafe { ctr_xor_impl(rk, j0, first_ctr, data) }
+    }
+
+    /// The counter block `j0 ‖ be32(ctr)`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn counter_block(j0: &[u32; 3], ctr: u32) -> __m128i {
+        _mm_set_epi32(
+            ctr.swap_bytes() as i32,
+            j0[2] as i32,
+            j0[1] as i32,
+            j0[0] as i32,
+        )
     }
 
     #[target_feature(enable = "aes", enable = "sse2")]
-    unsafe fn ctr_keystream_impl(rk: &[u32; 44], j0: &[u32; 3], first_ctr: u32, out: &mut [u64]) {
-        // SAFETY: all loads/stores stay inside the borrowed slices: the
-        // store for block index `i` touches `out[2i..2i+2]` and `i` ranges
-        // over `out.len() / 2`; `target_feature` is vouched for by the
-        // caller's CPUID check.
+    unsafe fn ctr_xor_impl(rk: &[u32; 44], j0: &[u32; 3], first_ctr: u32, data: &mut [u8]) {
+        // SAFETY: every load/store is a 16-byte access at offset `16 * j`
+        // of a 128-byte chunk with `j < 8`, or of a 16-byte stack block;
+        // `target_feature` is vouched for by the caller's CPUID check via
+        // `available()`.
         unsafe {
             let keys = load_schedule(rk);
-            let nblocks = out.len() / 2;
-            let ctr_block = |i: usize| {
-                let ctr = first_ctr.wrapping_add(i as u32);
-                _mm_set_epi32(
-                    ctr.swap_bytes() as i32,
-                    j0[2] as i32,
-                    j0[1] as i32,
-                    j0[0] as i32,
-                )
-            };
-            let mut i = 0;
-            while i + 4 <= nblocks {
-                let mut b0 = _mm_xor_si128(ctr_block(i), keys[0]);
-                let mut b1 = _mm_xor_si128(ctr_block(i + 1), keys[0]);
-                let mut b2 = _mm_xor_si128(ctr_block(i + 2), keys[0]);
-                let mut b3 = _mm_xor_si128(ctr_block(i + 3), keys[0]);
-                for k in &keys[1..10] {
-                    b0 = _mm_aesenc_si128(b0, *k);
-                    b1 = _mm_aesenc_si128(b1, *k);
-                    b2 = _mm_aesenc_si128(b2, *k);
-                    b3 = _mm_aesenc_si128(b3, *k);
+            let mut ctr = first_ctr;
+            let mut wide = data.chunks_exact_mut(8 * 16);
+            for chunk in &mut wide {
+                let mut b = [_mm_setzero_si128(); 8];
+                for (j, x) in b.iter_mut().enumerate() {
+                    *x = _mm_xor_si128(counter_block(j0, ctr.wrapping_add(j as u32)), keys[0]);
                 }
-                b0 = _mm_aesenclast_si128(b0, keys[10]);
-                b1 = _mm_aesenclast_si128(b1, keys[10]);
-                b2 = _mm_aesenclast_si128(b2, keys[10]);
-                b3 = _mm_aesenclast_si128(b3, keys[10]);
-                let p = out.as_mut_ptr();
-                _mm_storeu_si128(p.add(2 * i) as *mut __m128i, b0);
-                _mm_storeu_si128(p.add(2 * i + 2) as *mut __m128i, b1);
-                _mm_storeu_si128(p.add(2 * i + 4) as *mut __m128i, b2);
-                _mm_storeu_si128(p.add(2 * i + 6) as *mut __m128i, b3);
-                i += 4;
+                for k in &keys[1..10] {
+                    for x in b.iter_mut() {
+                        *x = _mm_aesenc_si128(*x, *k);
+                    }
+                }
+                let p = chunk.as_mut_ptr() as *mut __m128i;
+                for (j, x) in b.iter().enumerate() {
+                    let ks = _mm_aesenclast_si128(*x, keys[10]);
+                    _mm_storeu_si128(p.add(j), _mm_xor_si128(_mm_loadu_si128(p.add(j)), ks));
+                }
+                ctr = ctr.wrapping_add(8);
             }
-            while i < nblocks {
-                let mut b = _mm_xor_si128(ctr_block(i), keys[0]);
+            // The last few blocks (the final one possibly partial) one at
+            // a time, through a stack block.
+            for rest in wide.into_remainder().chunks_mut(16) {
+                let mut b = _mm_xor_si128(counter_block(j0, ctr), keys[0]);
                 for k in &keys[1..10] {
                     b = _mm_aesenc_si128(b, *k);
                 }
-                b = _mm_aesenclast_si128(b, keys[10]);
-                _mm_storeu_si128(out.as_mut_ptr().add(2 * i) as *mut __m128i, b);
-                i += 1;
+                let ks = _mm_aesenclast_si128(b, keys[10]);
+                let mut block = [0u8; 16];
+                block[..rest.len()].copy_from_slice(rest);
+                let p = block.as_mut_ptr() as *mut __m128i;
+                _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), ks));
+                rest.copy_from_slice(&block[..rest.len()]);
+                ctr = ctr.wrapping_add(1);
             }
         }
     }
@@ -532,7 +536,7 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn ctr_keystream_matches_single_block_encryptions() {
+    fn ctr_xor_matches_single_block_encryptions() {
         if !ni::available() {
             return;
         }
@@ -543,20 +547,26 @@ mod tests {
             0x05060708u32.to_be(),
             0x090a0b0cu32.to_be(),
         ];
-        for nblocks in [1usize, 3, 4, 5, 8, 17] {
-            let mut ks = vec![0u64; 2 * nblocks];
-            ni::ctr_keystream(&rk, &j0, 2, &mut ks);
-            for b in 0..nblocks {
+        // Lengths around the 8-block stride and the partial-block tail,
+        // starting just below the 32-bit counter wrap.
+        for len in [0usize, 1, 15, 16, 17, 48, 127, 128, 129, 200, 272] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let first = u32::MAX - 3;
+            let mut got = data.clone();
+            ni::ctr_xor(&rk, &j0, first, &mut got);
+            for (b, chunk) in data.chunks(16).enumerate() {
                 let mut block = [0u8; 16];
                 block[..4].copy_from_slice(&j0[0].to_le_bytes());
                 block[4..8].copy_from_slice(&j0[1].to_le_bytes());
                 block[8..12].copy_from_slice(&j0[2].to_le_bytes());
-                block[12..].copy_from_slice(&(2u32.wrapping_add(b as u32)).to_be_bytes());
+                block[12..].copy_from_slice(&first.wrapping_add(b as u32).to_be_bytes());
                 cipher.encrypt_block_scalar(&mut block);
-                let mut got = [0u8; 16];
-                got[..8].copy_from_slice(&ks[2 * b].to_le_bytes());
-                got[8..].copy_from_slice(&ks[2 * b + 1].to_le_bytes());
-                assert_eq!(got, block, "block {b} of {nblocks}");
+                let want: Vec<u8> = chunk.iter().zip(&block).map(|(d, k)| d ^ k).collect();
+                assert_eq!(
+                    &got[16 * b..16 * b + chunk.len()],
+                    &want[..],
+                    "block {b} of {len}"
+                );
             }
         }
     }

@@ -1,24 +1,46 @@
 //! AES-128-GCM (NIST SP 800-38D).
 //!
 //! The record layer's fast AEAD: CTR-mode AES for confidentiality and
-//! GHASH — polynomial evaluation over GF(2^128) — for integrity. Two
-//! implementations sit behind one dispatch:
+//! GHASH — polynomial evaluation over GF(2^128) — for integrity.
 //!
-//! * **Hardware**: the AES-NI CTR keystream from [`crate::aes`] plus a
-//!   CLMUL (`pclmulqdq`) GHASH. The carry-less multiplier produces the
-//!   three 128-bit Karatsuba part-products; the shift-and-fold reduction
-//!   is shared scalar code, so the two paths agree by construction
-//!   everywhere except the multiplier itself.
-//! * **Portable**: a constant-time scalar GHASH using masked integer
-//!   multiplication (the classic `bmul64` trick: four masked multiplies
-//!   emulate one carry-less multiply with no data-dependent table reads),
-//!   and the byte-oriented AES from [`crate::aes`].
+//! [`Aes128Gcm`] is the per-key context. It expands the AES key schedule
+//! and the hash-key powers H, H², H³, H⁴ once; after that a seal or open
+//! costs only the cipher itself — no key schedule, no heap buffers. The
+//! record layer in `ts-tls` builds one per direction when the direction's
+//! keys are installed. The one-shot [`seal`] / [`open`] wrap a throwaway
+//! context, so there is one code path.
 //!
-//! Both paths are pinned to the McGrew/Viega AES-GCM test vectors and to
-//! each other (`clmul_and_scalar_ghash_agree`).
+//! GHASH folds four blocks per reduction. By Horner's rule, absorbing
+//! blocks X₁…X₄ into the accumulator Y is
+//! `Y ← (Y ⊕ X₁)·H⁴ ⊕ X₂·H³ ⊕ X₃·H² ⊕ X₄·H`: the four unreduced
+//! carry-less products are XORed together and reduced once, since the
+//! reduction is linear. A trailing group of n < 4 blocks uses H^n … H¹
+//! the same way. The powers are stored multiplied by x⁻¹, which absorbs
+//! the one-bit shift GCM's reflected bit order would otherwise cost every
+//! product.
 //!
-//! Secrets cross the hardware boundary only as `u64` words — the GHASH
-//! key, accumulator and data limbs — never as byte slices.
+//! Two implementations sit behind one dispatch, chosen when the context
+//! is built:
+//!
+//! * **Hardware**: an AES-NI CTR kernel running eight blocks abreast that
+//!   XORs keystream into the caller's buffer in place, and a CLMUL
+//!   (`pclmulqdq`) GHASH kernel that keeps the accumulator in a vector
+//!   register across the whole message and reduces with two further
+//!   carry-less multiplies.
+//! * **Portable**: the byte-oriented AES from [`crate::aes`] and a
+//!   constant-time scalar GHASH using masked integer multiplication (the
+//!   classic `bmul64` trick: four masked multiplies emulate one carry-less
+//!   multiply with no data-dependent table reads), aggregated the same
+//!   way and reduced by the scalar `fold`.
+//!
+//! Both paths are pinned to the McGrew/Viega AES-GCM test vectors, to the
+//! bit-by-bit reference multiplication, and to each other
+//! (`clmul_and_scalar_ghash_agree`, and the record-sized agreement
+//! proptests in `tests/proptests.rs`).
+//!
+//! Key material crosses the hardware boundary only as words — the round
+//! keys as `u32`, the hash-key powers and accumulator as `u64` — never as
+//! byte slices; the byte buffers the kernels touch are the message.
 
 use crate::aes::{Aes128, BLOCK_LEN};
 use crate::error::CryptoError;
@@ -33,6 +55,14 @@ pub const KEY_LEN: usize = 16;
 // --------------------------------------------------------------------------
 // GF(2^128) multiplication
 // --------------------------------------------------------------------------
+
+/// A GF(2^128) element as big-endian 64-bit halves: `[0]` holds the first
+/// eight bytes of the block, `[1]` the last eight.
+type Elem = [u64; 2];
+
+/// H, H², H³, H⁴, each stored twisted (see [`twist`]): block `i` of a
+/// group of `n` is multiplied by H^(n−i), so `HPowers[k]` is H^(k+1).
+type HPowers = [Elem; 4];
 
 /// Bit-reverse a 64-bit word (swap within bytes, then swap bytes).
 fn rev64(mut x: u64) -> u64 {
@@ -60,129 +90,94 @@ fn bmul64(x: u64, y: u64) -> u64 {
     (z0 & M0) | (z1 & M1) | (z2 & M2) | (z3 & M3)
 }
 
-/// Shared tail of both multipliers: take the four 64-bit limbs of the
-/// 255-bit carry-less Karatsuba product (low to high), shift left one bit
-/// (GCM's reflected bit convention), fold modulo x^128 + x^7 + x^2 + x + 1,
-/// and return the reduced accumulator as `(y1, y0)` big-endian halves.
-fn shift_reduce(v: [u64; 4]) -> (u64, u64) {
-    let [mut v0, mut v1, mut v2, mut v3] = v;
-    v3 = (v3 << 1) | (v2 >> 63);
-    v2 = (v2 << 1) | (v1 >> 63);
-    v1 = (v1 << 1) | (v0 >> 63);
-    v0 <<= 1;
+/// The portable Karatsuba: the 255-bit carry-less product `x ⊗ h` as four
+/// limbs, low to high, from nine masked multiplies (three per 64-bit
+/// part-product, the high halves recovered through bit reversal).
+fn karatsuba_scalar(x: Elem, h: Elem) -> [u64; 4] {
+    let [x1, x0] = x;
+    let [h1, h0] = h;
+    let (x0r, x1r, h0r, h1r) = (rev64(x0), rev64(x1), rev64(h0), rev64(h1));
+    let z0 = bmul64(x0, h0);
+    let z1 = bmul64(x1, h1);
+    let mut z2 = bmul64(x0 ^ x1, h0 ^ h1);
+    let z0h = bmul64(x0r, h0r);
+    let z1h = bmul64(x1r, h1r);
+    let mut z2h = bmul64(x0r ^ x1r, h0r ^ h1r);
+    z2 ^= z0 ^ z1;
+    z2h ^= z0h ^ z1h;
+    let z0h = rev64(z0h) >> 1;
+    let z1h = rev64(z1h) >> 1;
+    let z2h = rev64(z2h) >> 1;
+    [z0, z0h ^ z2, z1 ^ z2h, z1h]
+}
+
+/// Reduce a 255-bit carry-less product, given as four 64-bit limbs low to
+/// high, modulo x^128 + x^7 + x^2 + x + 1: fold the low 128 bits (the
+/// high-degree terms, in GCM's reflected bit order) into the high 128 in
+/// two 64-bit steps. Linear in `v`, which is what lets a group of products
+/// share one reduction.
+///
+/// In the reflected order a plain carry-less product comes out one bit
+/// short (it is the field product times x), so one operand of every
+/// multiplication is stored pre-multiplied by x⁻¹ ([`twist`]) instead of
+/// shifting each product.
+fn fold(v: [u64; 4]) -> Elem {
+    let [v0, mut v1, mut v2, mut v3] = v;
     v2 ^= v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
     v1 ^= (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
     v3 ^= v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
     v2 ^= (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
-    (v3, v2)
+    [v3, v2]
 }
 
-/// The GHASH state: accumulator `y` and hash key `h`, both as big-endian
-/// 64-bit halves (`*1` is the first eight bytes of the block), plus the
-/// bit-reversed forms the scalar multiplier needs.
-struct Ghash {
-    y1: u64,
-    y0: u64,
-    h1: u64,
-    h0: u64,
-    h2: u64,
-    h0r: u64,
-    h1r: u64,
-    h2r: u64,
-    use_clmul: bool,
+/// `h · x⁻¹`, the form hash-key powers are stored in. In the reflected
+/// order multiplying by x⁻¹ is a left shift; the x⁰ coefficient shifted
+/// out comes back as x⁻¹ = x^127 + x^6 + x + 1. Constant time.
+fn twist(h: Elem) -> Elem {
+    let carry = (h[0] >> 63).wrapping_neg();
+    [
+        (h[0] << 1 | h[1] >> 63) ^ (carry & 0xc200_0000_0000_0000),
+        (h[1] << 1) ^ (carry & 1),
+    ]
 }
 
-impl Ghash {
-    #[cfg(test)]
-    fn new(h: &[u8; BLOCK_LEN]) -> Self {
-        Self::new_with(h, clmul_available())
-    }
+/// Field multiplication on the portable multiplier: `x · h` for a twisted
+/// `h_twisted = twist(h)`. With a twisted `x` the product is twisted too,
+/// which is how the hash-key powers are built.
+fn gf_mul(x: Elem, h_twisted: Elem) -> Elem {
+    fold(karatsuba_scalar(x, h_twisted))
+}
 
-    fn new_with(h: &[u8; BLOCK_LEN], use_clmul: bool) -> Self {
-        let h1 = u64::from_be_bytes(h[..8].try_into().expect("8 bytes"));
-        let h0 = u64::from_be_bytes(h[8..].try_into().expect("8 bytes"));
-        let (h0r, h1r) = (rev64(h0), rev64(h1));
-        Ghash {
-            y1: 0,
-            y0: 0,
-            h1,
-            h0,
-            h2: h0 ^ h1,
-            h0r,
-            h1r,
-            h2r: h0r ^ h1r,
-            use_clmul,
-        }
-    }
+fn load_elem(block: &[u8]) -> Elem {
+    [
+        u64::from_be_bytes(block[..8].try_into().expect("8 bytes")),
+        u64::from_be_bytes(block[8..16].try_into().expect("8 bytes")),
+    ]
+}
 
-    /// Absorb one 16-byte block: xor into the accumulator, multiply by H.
-    fn update_block(&mut self, block: &[u8; BLOCK_LEN]) {
-        self.y1 ^= u64::from_be_bytes(block[..8].try_into().expect("8 bytes"));
-        self.y0 ^= u64::from_be_bytes(block[8..].try_into().expect("8 bytes"));
-        let v = if self.use_clmul {
-            #[cfg(target_arch = "x86_64")]
-            {
-                ni::karatsuba(self.y1, self.y0, self.h1, self.h0)
+/// Portable GHASH: absorb `data` into `y`, zero-padding a trailing
+/// partial block, four blocks per reduction.
+fn ghash_scalar(h: &HPowers, y: &mut Elem, data: &[u8]) {
+    for group in data.chunks(4 * BLOCK_LEN) {
+        let mut padded = [0u8; 4 * BLOCK_LEN];
+        padded[..group.len()].copy_from_slice(group);
+        let n = group.len().div_ceil(BLOCK_LEN);
+        let mut acc = [0u64; 4];
+        for (i, block) in padded.chunks_exact(BLOCK_LEN).take(n).enumerate() {
+            let mut x = load_elem(block);
+            if i == 0 {
+                x = [x[0] ^ y[0], x[1] ^ y[1]];
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                unreachable!("clmul_available() is false off x86_64")
+            let p = karatsuba_scalar(x, h[n - 1 - i]);
+            for (a, b) in acc.iter_mut().zip(p) {
+                *a ^= b;
             }
-        } else {
-            self.karatsuba_scalar()
-        };
-        (self.y1, self.y0) = shift_reduce(v);
-    }
-
-    /// The portable Karatsuba: nine masked multiplies (three per 64-bit
-    /// part-product, the high halves recovered through bit reversal).
-    fn karatsuba_scalar(&self) -> [u64; 4] {
-        let (y0r, y1r) = (rev64(self.y0), rev64(self.y1));
-        let y2 = self.y0 ^ self.y1;
-        let y2r = y0r ^ y1r;
-        let z0 = bmul64(self.y0, self.h0);
-        let z1 = bmul64(self.y1, self.h1);
-        let mut z2 = bmul64(y2, self.h2);
-        let z0h = bmul64(y0r, self.h0r);
-        let z1h = bmul64(y1r, self.h1r);
-        let mut z2h = bmul64(y2r, self.h2r);
-        z2 ^= z0 ^ z1;
-        z2h ^= z0h ^ z1h;
-        let z0h = rev64(z0h) >> 1;
-        let z1h = rev64(z1h) >> 1;
-        let z2h = rev64(z2h) >> 1;
-        [z0, z0h ^ z2, z1 ^ z2h, z1h]
-    }
-
-    /// Absorb `data`, zero-padding the trailing partial block (GCM pads
-    /// AAD and ciphertext independently).
-    fn update_padded(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(BLOCK_LEN);
-        for chunk in &mut chunks {
-            self.update_block(chunk.try_into().expect("exact chunk"));
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut last = [0u8; BLOCK_LEN];
-            last[..rem.len()].copy_from_slice(rem);
-            self.update_block(&last);
-        }
-    }
-
-    /// Finish with the lengths block and return the untagged GHASH value.
-    fn finalize(mut self, aad_len: usize, ct_len: usize) -> [u8; BLOCK_LEN] {
-        let mut lens = [0u8; BLOCK_LEN];
-        lens[..8].copy_from_slice(&(8 * aad_len as u64).to_be_bytes());
-        lens[8..].copy_from_slice(&(8 * ct_len as u64).to_be_bytes());
-        self.update_block(&lens);
-        let mut out = [0u8; BLOCK_LEN];
-        out[..8].copy_from_slice(&self.y1.to_be_bytes());
-        out[8..].copy_from_slice(&self.y0.to_be_bytes());
-        out
+        *y = fold(acc);
     }
 }
 
-/// Is the CLMUL GHASH path usable on this host (and not forced portable)?
+/// Is the CLMUL GHASH kernel usable on this host (and not forced portable)?
 fn clmul_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -191,6 +186,7 @@ fn clmul_available() -> bool {
         *AVAILABLE.get_or_init(|| {
             !crate::dispatch::force_portable()
                 && std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("ssse3")
                 && std::arch::is_x86_feature_detected!("sse2")
         })
     }
@@ -200,182 +196,362 @@ fn clmul_available() -> bool {
     }
 }
 
-/// CLMUL part-product kernel. Only the three carry-less 64×64 multiplies
-/// run in vector registers; the shift-and-fold reduction is the shared
-/// scalar `shift_reduce`, so this path cannot disagree with the portable
-/// one about anything but the multiplier — which the agreement tests pin.
+/// The CLMUL GHASH kernel. Same grouping and same result as
+/// `ghash_scalar` (the agreement tests pin it); the products and the
+/// reduction run in vector registers.
 #[cfg(target_arch = "x86_64")]
 mod ni {
     // The sanctioned unsafe exception (see lib.rs): scoped, behind runtime
     // feature detection, with safety comments.
     #![allow(unsafe_code)]
 
+    use super::{Elem, HPowers};
     use core::arch::x86_64::*;
 
-    /// Karatsuba part-products of `(y1‖y0) ⊗ (h1‖h0)` as four limbs, low
-    /// to high — bit-compatible with `Ghash::karatsuba_scalar`.
-    pub fn karatsuba(y1: u64, y0: u64, h1: u64, h0: u64) -> [u64; 4] {
+    /// Absorb `data` into the accumulator `y` (zero-padding a trailing
+    /// partial block), four blocks per reduction.
+    pub fn ghash(h: &HPowers, y: &mut Elem, data: &[u8]) {
         // SAFETY: `clmul_available()` gates every call site on CPUID.
-        unsafe { karatsuba_impl(y1, y0, h1, h0) }
+        unsafe { ghash_impl(h, y, data) }
+    }
+
+    /// Field multiplication `a · b` for a twisted `b` (precomputing the
+    /// hash-key powers).
+    pub fn gf_mul(a: &Elem, b: &Elem) -> Elem {
+        // SAFETY: `clmul_available()` gates every call site on CPUID.
+        unsafe { gf_mul_impl(a, b) }
     }
 
     #[target_feature(enable = "pclmulqdq", enable = "sse2")]
-    unsafe fn karatsuba_impl(y1: u64, y0: u64, h1: u64, h0: u64) -> [u64; 4] {
-        // SAFETY: register-only SIMD plus stores into stack arrays of
-        // exactly 16 bytes; `target_feature` is vouched for by the
-        // caller's CPUID check.
+    unsafe fn gf_mul_impl(a: &Elem, b: &Elem) -> Elem {
+        // SAFETY: a 16-byte store into a 16-byte stack array;
+        // `target_feature` is vouched for by the caller's CPUID check via
+        // `clmul_available()`.
         unsafe {
-            let a = _mm_set_epi64x(y1 as i64, y0 as i64);
-            let b = _mm_set_epi64x(h1 as i64, h0 as i64);
-            let p0 = _mm_clmulepi64_si128(a, b, 0x00);
-            let p1 = _mm_clmulepi64_si128(a, b, 0x11);
-            let af = _mm_xor_si128(a, _mm_srli_si128(a, 8));
-            let bf = _mm_xor_si128(b, _mm_srli_si128(b, 8));
-            let mut mid = _mm_clmulepi64_si128(af, bf, 0x00);
-            mid = _mm_xor_si128(mid, _mm_xor_si128(p0, p1));
-            let mut lo = [0u64; 2];
-            let mut hi = [0u64; 2];
-            let mut md = [0u64; 2];
-            _mm_storeu_si128(lo.as_mut_ptr() as *mut __m128i, p0);
-            _mm_storeu_si128(hi.as_mut_ptr() as *mut __m128i, p1);
-            _mm_storeu_si128(md.as_mut_ptr() as *mut __m128i, mid);
-            [lo[0], lo[1] ^ md[0], hi[0] ^ md[1], hi[1]]
+            let mut out = [0u64; 2];
+            let p = fold_parts(clmul_parts(to_vector(a), to_vector(b)));
+            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, p);
+            [out[1], out[0]]
+        }
+    }
+
+    /// `[e0, e1]` as one vector whose 128-bit value is `e0 << 64 | e1`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn to_vector(e: &Elem) -> __m128i {
+        _mm_set_epi64x(e[0] as i64, e[1] as i64)
+    }
+
+    /// The unreduced product `x ⊗ h` as `[lo, mid, hi]` 128-bit parts:
+    /// the 256-bit value is `lo ⊕ mid << 64 ⊕ hi << 128`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
+    fn clmul_parts(x: __m128i, h: __m128i) -> [__m128i; 3] {
+        [
+            _mm_clmulepi64_si128(x, h, 0x00),
+            _mm_xor_si128(
+                _mm_clmulepi64_si128(x, h, 0x01),
+                _mm_clmulepi64_si128(x, h, 0x10),
+            ),
+            _mm_clmulepi64_si128(x, h, 0x11),
+        ]
+    }
+
+    /// Sum of two unreduced products.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn xor_parts(a: [__m128i; 3], b: [__m128i; 3]) -> [__m128i; 3] {
+        [
+            _mm_xor_si128(a[0], b[0]),
+            _mm_xor_si128(a[1], b[1]),
+            _mm_xor_si128(a[2], b[2]),
+        ]
+    }
+
+    /// `fold` on vectors: the same two 64-bit folding steps, each one
+    /// carry-less multiply by x^63 + x^62 + x^57 (the shifts of `fold`)
+    /// plus a lane swap.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse2")]
+    fn fold_parts(p: [__m128i; 3]) -> __m128i {
+        let poly = _mm_set_epi64x(0, 0xc200_0000_0000_0000u64 as i64);
+        // Limbs v0..v3, low to high: lo = [v0, v1], hi = [v2, v3].
+        let lo = _mm_xor_si128(p[0], _mm_slli_si128(p[1], 8));
+        let hi = _mm_xor_si128(p[2], _mm_srli_si128(p[1], 8));
+        // [v1, v0] ^ v0·poly: lane 0 is v1 with v0 folded in, lane 1 is
+        // v0's contribution to v2.
+        let t = _mm_xor_si128(
+            _mm_shuffle_epi32(lo, 0x4e),
+            _mm_clmulepi64_si128(lo, poly, 0x00),
+        );
+        // The same step folds the updated v1 into [v2, v3].
+        let t = _mm_xor_si128(
+            _mm_shuffle_epi32(t, 0x4e),
+            _mm_clmulepi64_si128(t, poly, 0x00),
+        );
+        _mm_xor_si128(hi, t)
+    }
+
+    #[target_feature(enable = "pclmulqdq", enable = "ssse3", enable = "sse2")]
+    unsafe fn ghash_impl(h: &HPowers, y: &mut Elem, data: &[u8]) {
+        // SAFETY: every load reads 16 bytes at block offset `i` of a group
+        // holding at least `i + 1` blocks (the padded tail group is a
+        // 64-byte stack array); `target_feature` is vouched for by the
+        // caller's CPUID check via `clmul_available()`.
+        unsafe {
+            let bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let load = |p: *const __m128i| _mm_shuffle_epi8(_mm_loadu_si128(p), bswap);
+            let hp = [
+                to_vector(&h[0]),
+                to_vector(&h[1]),
+                to_vector(&h[2]),
+                to_vector(&h[3]),
+            ];
+            let mut acc = to_vector(y);
+            let mut groups = data.chunks_exact(64);
+            for group in &mut groups {
+                let p = group.as_ptr() as *const __m128i;
+                // Blocks 2..4 do not depend on the accumulator, so their
+                // products overlap the previous group's reduction.
+                let tail = xor_parts(
+                    xor_parts(
+                        clmul_parts(load(p.add(3)), hp[0]),
+                        clmul_parts(load(p.add(2)), hp[1]),
+                    ),
+                    clmul_parts(load(p.add(1)), hp[2]),
+                );
+                let head = clmul_parts(_mm_xor_si128(load(p), acc), hp[3]);
+                acc = fold_parts(xor_parts(tail, head));
+            }
+            let rest = groups.remainder();
+            if !rest.is_empty() {
+                let mut padded = [0u8; 64];
+                padded[..rest.len()].copy_from_slice(rest);
+                let p = padded.as_ptr() as *const __m128i;
+                let n = rest.len().div_ceil(16);
+                let mut sum = clmul_parts(_mm_xor_si128(load(p), acc), hp[n - 1]);
+                for i in 1..n {
+                    sum = xor_parts(sum, clmul_parts(load(p.add(i)), hp[n - 1 - i]));
+                }
+                acc = fold_parts(sum);
+            }
+            let mut out = [0u64; 2];
+            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, acc);
+            *y = [out[1], out[0]];
         }
     }
 }
 
 // --------------------------------------------------------------------------
-// CTR keystream + seal/open
+// The per-key context
 // --------------------------------------------------------------------------
 
-/// Generate `len` bytes of CTR keystream starting at big-endian counter
-/// `first_ctr` (GCM `inc32` semantics over the 12-byte nonce).
-fn ctr_keystream(aes: &Aes128, nonce: &[u8; NONCE_LEN], first_ctr: u32, len: usize) -> Vec<u8> {
+/// An AES-128-GCM key, expanded once: the AES round keys (byte form for
+/// the portable path, word form for AES-NI), the hash-key powers H¹…H⁴,
+/// and the dispatch decision. Key material, so it wipes itself on drop
+/// and its `Debug` is redacting.
+// ctlint: secret
+pub struct Aes128Gcm {
+    aes: Aes128,
+    round_words: [u32; 44],
+    h: HPowers,
+    aes_ni: bool,
+    clmul: bool,
+}
+
+impl crate::wipe::Wipe for Aes128Gcm {
+    fn wipe(&mut self) {
+        self.aes.wipe();
+        crate::wipe::wipe_u32s(&mut self.round_words);
+        crate::wipe::wipe_u64s(self.h.as_flattened_mut());
+    }
+}
+
+impl Drop for Aes128Gcm {
+    fn drop(&mut self) {
+        use crate::wipe::Wipe;
+        self.wipe();
+    }
+}
+
+impl std::fmt::Debug for Aes128Gcm {
+    /// Redacting: the schedule and hash key never reach a formatter.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Aes128Gcm(<redacted>)")
+    }
+}
+
+impl Aes128Gcm {
+    /// Expand `key`, using the AES-NI and CLMUL kernels where the host
+    /// has them.
+    pub fn new(key: &[u8; KEY_LEN]) -> Self {
+        Self::with_dispatch(key, false)
+    }
+
+    /// Expand `key` on the portable paths regardless of CPU features.
+    /// For agreement tests and scalar-baseline benchmarks only.
+    #[doc(hidden)]
+    pub fn new_portable(key: &[u8; KEY_LEN]) -> Self {
+        Self::with_dispatch(key, true)
+    }
+
+    fn with_dispatch(key: &[u8; KEY_LEN], portable: bool) -> Self {
+        let aes = Aes128::new(key);
+        let mut ctx = Aes128Gcm {
+            round_words: aes.schedule_words(),
+            aes,
+            h: [[0; 2]; 4],
+            aes_ni: !portable && aes_ni_available(),
+            clmul: !portable && clmul_available(),
+        };
+        // H = E(K, 0^128): the keystream block of the all-zero nonce and
+        // counter, XORed into zeros.
+        let mut h = [0u8; BLOCK_LEN];
+        ctx.ctr_xor(&[0; NONCE_LEN], 0, &mut h);
+        let h1 = twist(load_elem(&h));
+        crate::wipe::wipe_bytes(&mut h);
+        let mul = |a: Elem, b: Elem| {
+            #[cfg(target_arch = "x86_64")]
+            if ctx.clmul {
+                return ni::gf_mul(&a, &b);
+            }
+            gf_mul(a, b)
+        };
+        let h2 = mul(h1, h1);
+        let h3 = mul(h2, h1);
+        let h4 = mul(h3, h1);
+        ctx.h = [h1, h2, h3, h4];
+        ctx
+    }
+
+    /// XOR the CTR keystream for `nonce`, starting at counter `first_ctr`,
+    /// into `data` in place.
+    fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], first_ctr: u32, data: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.aes_ni {
+            let j0 = [
+                u32::from_le_bytes(nonce[..4].try_into().expect("4 bytes")),
+                u32::from_le_bytes(nonce[4..8].try_into().expect("4 bytes")),
+                u32::from_le_bytes(nonce[8..].try_into().expect("4 bytes")),
+            ];
+            crate::aes::ni::ctr_xor(&self.round_words, &j0, first_ctr, data);
+            return;
+        }
+        let mut ctr = first_ctr;
+        for chunk in data.chunks_mut(BLOCK_LEN) {
+            let mut block = [0u8; BLOCK_LEN];
+            block[..NONCE_LEN].copy_from_slice(nonce);
+            block[NONCE_LEN..].copy_from_slice(&ctr.to_be_bytes());
+            self.aes.encrypt_block_scalar(&mut block);
+            for (d, k) in chunk.iter_mut().zip(&block) {
+                *d ^= k;
+            }
+            ctr = ctr.wrapping_add(1);
+        }
+    }
+
+    /// Absorb `data` into the GHASH accumulator, zero-padding a trailing
+    /// partial block (GCM pads AAD and ciphertext independently).
+    fn ghash(&self, y: &mut Elem, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.clmul {
+            ni::ghash(&self.h, y, data);
+            return;
+        }
+        ghash_scalar(&self.h, y, data);
+    }
+
+    /// The tag over `aad` and `ciphertext`: GHASH of both plus the lengths
+    /// block, masked with the keystream of counter 1.
+    fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+        let mut y = [0u64; 2];
+        self.ghash(&mut y, aad);
+        self.ghash(&mut y, ciphertext);
+        let mut lens = [0u8; BLOCK_LEN];
+        lens[..8].copy_from_slice(&(8 * aad.len() as u64).to_be_bytes());
+        lens[8..].copy_from_slice(&(8 * ciphertext.len() as u64).to_be_bytes());
+        self.ghash(&mut y, &lens);
+        let mut tag = [0u8; TAG_LEN];
+        tag[..8].copy_from_slice(&y[0].to_be_bytes());
+        tag[8..].copy_from_slice(&y[1].to_be_bytes());
+        self.ctr_xor(nonce, 1, &mut tag);
+        tag
+    }
+
+    /// Encrypt and authenticate, appending `ciphertext ‖ tag` to `out`.
+    pub fn seal_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        out.reserve(plaintext.len() + TAG_LEN);
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        // Data blocks start at counter 2; counter 1 masks the tag.
+        self.ctr_xor(nonce, 2, &mut out[start..]);
+        let tag = self.tag(nonce, aad, &out[start..]);
+        out.extend_from_slice(&tag);
+    }
+
+    /// Verify and decrypt `ciphertext ‖ tag` held in `buf`. The tag is
+    /// checked, in constant time, before anything is decrypted: on
+    /// success the plaintext replaces the ciphertext in `buf[..n]` and `n`
+    /// is returned; on failure `buf` is left untouched.
+    pub fn open_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut [u8],
+    ) -> Result<usize, CryptoError> {
+        let Some(n) = buf.len().checked_sub(TAG_LEN) else {
+            return Err(CryptoError::BadMac);
+        };
+        let (ct, tag) = buf.split_at_mut(n);
+        let expect = self.tag(nonce, aad, ct);
+        if !crate::ct::ct_eq(&expect, tag) {
+            return Err(CryptoError::BadMac);
+        }
+        self.ctr_xor(nonce, 2, ct);
+        Ok(n)
+    }
+
+    /// [`Self::open_in_place`] on a copy: returns the plaintext.
+    fn open_to_vec(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        ciphertext: &[u8],
+    ) -> Result<Vec<u8>, CryptoError> {
+        let mut buf = ciphertext.to_vec();
+        let n = self.open_in_place(nonce, aad, &mut buf)?;
+        buf.truncate(n);
+        Ok(buf)
+    }
+
+    fn seal_to_vec(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        self.seal_into(nonce, aad, plaintext, &mut out);
+        out
+    }
+}
+
+/// Is the AES-NI CTR kernel usable on this host (and not forced portable)?
+fn aes_ni_available() -> bool {
     #[cfg(target_arch = "x86_64")]
-    if crate::aes::ni::available() {
-        let nblocks = len.div_ceil(BLOCK_LEN);
-        let mut out = vec![0u8; nblocks * BLOCK_LEN];
-        let rk = aes.schedule_words();
-        let j0 = [
-            u32::from_le_bytes(nonce[..4].try_into().expect("4 bytes")),
-            u32::from_le_bytes(nonce[4..8].try_into().expect("4 bytes")),
-            u32::from_le_bytes(nonce[8..].try_into().expect("4 bytes")),
-        ];
-        let mut ks = vec![0u64; 2 * nblocks];
-        crate::aes::ni::ctr_keystream(&rk, &j0, first_ctr, &mut ks);
-        for (i, w) in ks.iter().enumerate() {
-            out[8 * i..8 * i + 8].copy_from_slice(&w.to_le_bytes());
-        }
-        out.truncate(len);
-        return out;
+    {
+        crate::aes::ni::available()
     }
-    ctr_keystream_scalar(aes, nonce, first_ctr, len)
-}
-
-/// The byte-oriented CTR loop: the portable fallback, and (forced) the
-/// reference baseline for the agreement tests and benchmarks.
-fn ctr_keystream_scalar(
-    aes: &Aes128,
-    nonce: &[u8; NONCE_LEN],
-    first_ctr: u32,
-    len: usize,
-) -> Vec<u8> {
-    let nblocks = len.div_ceil(BLOCK_LEN);
-    let mut out = vec![0u8; nblocks * BLOCK_LEN];
-    for b in 0..nblocks {
-        let mut block = [0u8; BLOCK_LEN];
-        block[..NONCE_LEN].copy_from_slice(nonce);
-        block[NONCE_LEN..].copy_from_slice(&first_ctr.wrapping_add(b as u32).to_be_bytes());
-        aes.encrypt_block_scalar(&mut block);
-        out[BLOCK_LEN * b..BLOCK_LEN * (b + 1)].copy_from_slice(&block);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
-    out.truncate(len);
-    out
-}
-
-/// Hash key + keystream generation, with the `portable` flag forcing the
-/// scalar reference paths (used by agreement tests and benchmarks to
-/// compare against the dispatched paths inside one binary).
-fn hash_key(aes: &Aes128, portable: bool) -> [u8; BLOCK_LEN] {
-    let mut h = [0u8; BLOCK_LEN];
-    if portable {
-        aes.encrypt_block_scalar(&mut h);
-    } else {
-        aes.encrypt_block(&mut h);
-    }
-    h
-}
-
-fn keystream(
-    aes: &Aes128,
-    nonce: &[u8; NONCE_LEN],
-    first_ctr: u32,
-    len: usize,
-    portable: bool,
-) -> Vec<u8> {
-    if portable {
-        ctr_keystream_scalar(aes, nonce, first_ctr, len)
-    } else {
-        ctr_keystream(aes, nonce, first_ctr, len)
-    }
-}
-
-fn seal_impl(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    plaintext: &[u8],
-    portable: bool,
-) -> Vec<u8> {
-    let aes = Aes128::new(key);
-    let h = hash_key(&aes, portable);
-    // Data blocks start at counter 2; counter 1 masks the tag.
-    let ks = keystream(&aes, nonce, 2, plaintext.len(), portable);
-    let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-    out.extend(plaintext.iter().zip(&ks).map(|(p, k)| p ^ k));
-    let mut ghash = Ghash::new_with(&h, !portable && clmul_available());
-    ghash.update_padded(aad);
-    ghash.update_padded(&out);
-    let mut tag = ghash.finalize(aad.len(), plaintext.len());
-    let mask = keystream(&aes, nonce, 1, TAG_LEN, portable);
-    for (t, m) in tag.iter_mut().zip(&mask) {
-        *t ^= m;
-    }
-    out.extend_from_slice(&tag);
-    out
-}
-
-fn open_impl(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    ciphertext: &[u8],
-    portable: bool,
-) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.len() < TAG_LEN {
-        return Err(CryptoError::BadMac);
-    }
-    let (ct, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
-    let aes = Aes128::new(key);
-    let h = hash_key(&aes, portable);
-    let mut ghash = Ghash::new_with(&h, !portable && clmul_available());
-    ghash.update_padded(aad);
-    ghash.update_padded(ct);
-    let mut expect = ghash.finalize(aad.len(), ct.len());
-    let mask = keystream(&aes, nonce, 1, TAG_LEN, portable);
-    for (t, m) in expect.iter_mut().zip(&mask) {
-        *t ^= m;
-    }
-    if !crate::ct::ct_eq(&expect, tag) {
-        return Err(CryptoError::BadMac);
-    }
-    let ks = keystream(&aes, nonce, 2, ct.len(), portable);
-    Ok(ct.iter().zip(&ks).map(|(c, k)| c ^ k).collect())
 }
 
 /// Encrypt and authenticate: returns `ciphertext ‖ tag`.
 pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    seal_impl(key, nonce, aad, plaintext, false)
+    Aes128Gcm::new(key).seal_to_vec(nonce, aad, plaintext)
 }
 
 /// Verify and decrypt `ciphertext ‖ tag`. The tag is checked (in constant
@@ -386,7 +562,7 @@ pub fn open(
     aad: &[u8],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    open_impl(key, nonce, aad, ciphertext, false)
+    Aes128Gcm::new(key).open_to_vec(nonce, aad, ciphertext)
 }
 
 /// [`seal`] forced onto the scalar reference paths regardless of CPU
@@ -398,7 +574,7 @@ pub fn seal_portable(
     aad: &[u8],
     plaintext: &[u8],
 ) -> Vec<u8> {
-    seal_impl(key, nonce, aad, plaintext, true)
+    Aes128Gcm::new_portable(key).seal_to_vec(nonce, aad, plaintext)
 }
 
 /// [`open`] forced onto the scalar reference paths regardless of CPU
@@ -410,7 +586,7 @@ pub fn open_portable(
     aad: &[u8],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    open_impl(key, nonce, aad, ciphertext, true)
+    Aes128Gcm::new_portable(key).open_to_vec(nonce, aad, ciphertext)
 }
 
 #[cfg(test)]
@@ -525,21 +701,52 @@ mod tests {
         z
     }
 
+    fn elem_bytes(e: Elem) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&e[0].to_be_bytes());
+        out[8..].copy_from_slice(&e[1].to_be_bytes());
+        out
+    }
+
+    fn powers(h: Elem) -> HPowers {
+        let h1 = twist(h);
+        let h2 = gf_mul(h1, h1);
+        let h3 = gf_mul(h2, h1);
+        [h1, h2, h3, gf_mul(h3, h1)]
+    }
+
     #[test]
-    fn scalar_ghash_matches_bitwise_reference() {
+    fn scalar_multiply_matches_bitwise_reference() {
         let mut rng = crate::drbg::HmacDrbg::new(b"ghash-ref");
         for _ in 0..50 {
             let mut h = [0u8; 16];
             let mut x = [0u8; 16];
             rng.fill_bytes(&mut h);
             rng.fill_bytes(&mut x);
-            let mut g = Ghash::new(&h);
-            g.use_clmul = false;
-            g.update_block(&x);
-            let mut got = [0u8; 16];
-            got[..8].copy_from_slice(&g.y1.to_be_bytes());
-            got[8..].copy_from_slice(&g.y0.to_be_bytes());
+            let got = elem_bytes(gf_mul(load_elem(&x), twist(load_elem(&h))));
             assert_eq!(got, gf_mul_reference(&x, &h));
+        }
+    }
+
+    /// One reduction per four blocks must equal Horner's rule one block
+    /// at a time, with the bit-by-bit reference multiplier.
+    #[test]
+    fn aggregated_ghash_matches_blockwise_horner() {
+        let mut rng = crate::drbg::HmacDrbg::new(b"ghash-horner");
+        for len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 127, 128, 129, 200] {
+            let mut h = [0u8; 16];
+            rng.fill_bytes(&mut h);
+            let data = rng.bytes(len);
+            let mut want = [0u8; 16];
+            for chunk in data.chunks(16) {
+                for (w, d) in want.iter_mut().zip(chunk) {
+                    *w ^= d;
+                }
+                want = gf_mul_reference(&want, &h);
+            }
+            let mut y = [0u64; 2];
+            ghash_scalar(&powers(load_elem(&h)), &mut y, &data);
+            assert_eq!(elem_bytes(y), want, "len {len}");
         }
     }
 
@@ -550,19 +757,56 @@ mod tests {
             return;
         }
         let mut rng = crate::drbg::HmacDrbg::new(b"ghash-clmul");
-        for _ in 0..200 {
+        for round in 0..200 {
             let mut h = [0u8; 16];
-            let mut x = [0u8; 16];
+            let mut y0 = [0u8; 16];
             rng.fill_bytes(&mut h);
-            rng.fill_bytes(&mut x);
-            let mut hw = Ghash::new(&h);
-            let mut sw = Ghash::new(&h);
-            sw.use_clmul = false;
-            assert!(hw.use_clmul);
-            hw.update_block(&x);
-            sw.update_block(&x);
-            assert_eq!((hw.y1, hw.y0), (sw.y1, sw.y0));
+            rng.fill_bytes(&mut y0);
+            let data = rng.bytes(round % 150);
+            let hp = powers(load_elem(&h));
+            let mut hw = load_elem(&y0);
+            let mut sw = hw;
+            ni::ghash(&hp, &mut hw, &data);
+            ghash_scalar(&hp, &mut sw, &data);
+            assert_eq!(hw, sw, "round {round}");
         }
+    }
+
+    #[test]
+    fn context_debug_is_redacted() {
+        let ctx = Aes128Gcm::new(&[0x5a; 16]);
+        assert_eq!(format!("{ctx:?}"), "Aes128Gcm(<redacted>)");
+    }
+
+    #[test]
+    fn open_in_place_releases_nothing_on_a_bad_tag() {
+        let ctx = Aes128Gcm::new(&[0x11; 16]);
+        let nonce = [0x22; 12];
+        let mut sealed = Vec::new();
+        ctx.seal_into(&nonce, b"hdr", &[0x33; 100], &mut sealed);
+        for flip in [0, 50, 99, 100, 115] {
+            let mut buf = sealed.clone();
+            buf[flip] ^= 0x80;
+            let tampered = buf.clone();
+            assert_eq!(
+                ctx.open_in_place(&nonce, b"hdr", &mut buf),
+                Err(CryptoError::BadMac)
+            );
+            assert_eq!(buf, tampered, "byte {flip}: buffer must be untouched");
+        }
+        let mut buf = sealed.clone();
+        assert_eq!(ctx.open_in_place(&nonce, b"hdr", &mut buf), Ok(100));
+        assert_eq!(&buf[..100], &[0x33; 100][..]);
+    }
+
+    #[test]
+    fn seal_into_appends_after_existing_bytes() {
+        let key = [0x42u8; 16];
+        let nonce = [0x24u8; 12];
+        let mut out = b"header".to_vec();
+        Aes128Gcm::new(&key).seal_into(&nonce, b"a", b"payload", &mut out);
+        assert_eq!(&out[..6], b"header");
+        assert_eq!(out[6..], seal(&key, &nonce, b"a", b"payload")[..]);
     }
 
     #[test]

@@ -7,13 +7,20 @@ use ts_crypto::bignum::Ub;
 use ts_crypto::cbc;
 use ts_crypto::chacha20;
 use ts_crypto::drbg::HmacDrbg;
+use ts_crypto::gcm::{self, Aes128Gcm};
 use ts_crypto::hmac::hmac_sha256;
 use ts_crypto::poly1305::{poly1305, Poly1305};
 use ts_crypto::sha256::{sha256, Sha256};
+use ts_crypto::CryptoError;
 
 fn ub(bytes: &[u8]) -> Ub {
     Ub::from_bytes_be(bytes)
 }
+
+/// AES-GCM plaintext lengths straddling GHASH's four-block (64-byte)
+/// aggregation groups and the 2^14-byte TLS record limit. Every
+/// record-sized GCM case runs all of them plus one uniform length.
+const GCM_EDGE_LENS: [usize; 12] = [0, 15, 16, 17, 63, 64, 65, 127, 128, 129, 16383, 16384];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -180,24 +187,6 @@ proptest! {
     // degenerate to self-consistency — still a valid law, never skipped.
 
     #[test]
-    fn gcm_dispatched_and_portable_seals_agree(
-        key in proptest::collection::vec(any::<u8>(), 16..=16),
-        nonce in proptest::collection::vec(any::<u8>(), 12..=12),
-        aad in proptest::collection::vec(any::<u8>(), 0..64),
-        pt in proptest::collection::vec(any::<u8>(), 0..1024),
-    ) {
-        use ts_crypto::gcm;
-        let key: [u8; 16] = key.try_into().unwrap();
-        let nonce: [u8; 12] = nonce.try_into().unwrap();
-        let fast = gcm::seal(&key, &nonce, &aad, &pt);
-        let slow = gcm::seal_portable(&key, &nonce, &aad, &pt);
-        prop_assert_eq!(&fast, &slow);
-        // Cross-open: each implementation accepts the other's output.
-        prop_assert_eq!(gcm::open(&key, &nonce, &aad, &slow).unwrap(), pt.clone());
-        prop_assert_eq!(gcm::open_portable(&key, &nonce, &aad, &fast).unwrap(), pt);
-    }
-
-    #[test]
     fn gcm_agrees_with_chunked_aad_absorption(
         key in proptest::collection::vec(any::<u8>(), 16..=16),
         nonce in proptest::collection::vec(any::<u8>(), 12..=12),
@@ -206,7 +195,6 @@ proptest! {
     ) {
         // AAD lengths crossing block boundaries (the padded-absorption
         // path) must not perturb hardware/scalar agreement.
-        use ts_crypto::gcm;
         let key: [u8; 16] = key.try_into().unwrap();
         let nonce: [u8; 12] = nonce.try_into().unwrap();
         let pt: Vec<u8> = (0..pt_len).map(|i| (i % 251) as u8).collect();
@@ -230,25 +218,6 @@ proptest! {
         let mut slow = data.clone();
         chacha20::xor_stream_portable(&key, counter, &nonce, &mut slow);
         prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn aes128gcm_aead_roundtrip_and_tamper_detection(
-        key in proptest::collection::vec(any::<u8>(), 16..=16),
-        nonce in proptest::collection::vec(any::<u8>(), 12..=12),
-        aad in proptest::collection::vec(any::<u8>(), 0..32),
-        pt in proptest::collection::vec(any::<u8>(), 0..200),
-        flip in any::<usize>(),
-    ) {
-        use ts_crypto::aead::{aes128gcm_open, aes128gcm_seal};
-        let key: [u8; 16] = key.try_into().unwrap();
-        let nonce: [u8; 12] = nonce.try_into().unwrap();
-        let sealed = aes128gcm_seal(&key, &nonce, &aad, &pt);
-        prop_assert_eq!(aes128gcm_open(&key, &nonce, &aad, &sealed).unwrap(), pt);
-        let mut bad = sealed.clone();
-        let idx = flip % bad.len();
-        bad[idx] ^= 1;
-        prop_assert!(aes128gcm_open(&key, &nonce, &aad, &bad).is_err());
     }
 
     #[test]
@@ -296,5 +265,98 @@ proptest! {
         let mut c = HmacDrbg::from_seed_label(seed, "y");
         let mut a2 = HmacDrbg::from_seed_label(seed, "x");
         prop_assert_ne!(c.bytes(32), a2.bytes(32));
+    }
+}
+
+// Record-sized AES-GCM: each case walks every length in GCM_EDGE_LENS, so
+// a few cases suffice; one under Miri, which interprets the scalar path.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 8 }))]
+
+    #[test]
+    fn gcm_dispatched_and_portable_seals_agree(
+        key in proptest::collection::vec(any::<u8>(), 16..=16),
+        nonce in proptest::collection::vec(any::<u8>(), 12..=12),
+        aad in proptest::collection::vec(any::<u8>(), 0..64),
+        data in proptest::collection::vec(any::<u8>(), 16384..=16384),
+        extra in 0usize..=16384,
+    ) {
+        let key: [u8; 16] = key.try_into().unwrap();
+        let nonce: [u8; 12] = nonce.try_into().unwrap();
+        for len in GCM_EDGE_LENS.into_iter().chain([extra]) {
+            let pt = &data[..len];
+            let fast = gcm::seal(&key, &nonce, &aad, pt);
+            let slow = gcm::seal_portable(&key, &nonce, &aad, pt);
+            prop_assert_eq!(&fast, &slow, "len {}", len);
+            // Cross-open: each implementation accepts the other's output.
+            prop_assert_eq!(gcm::open(&key, &nonce, &aad, &slow).unwrap(), pt);
+            prop_assert_eq!(gcm::open_portable(&key, &nonce, &aad, &fast).unwrap(), pt);
+        }
+    }
+
+    #[test]
+    fn aes128gcm_aead_roundtrip_and_tamper_detection(
+        key in proptest::collection::vec(any::<u8>(), 16..=16),
+        nonce in proptest::collection::vec(any::<u8>(), 12..=12),
+        aad in proptest::collection::vec(any::<u8>(), 0..32),
+        data in proptest::collection::vec(any::<u8>(), 16384..=16384),
+        extra in 0usize..=16384,
+        flip in any::<usize>(),
+    ) {
+        let key: [u8; 16] = key.try_into().unwrap();
+        let nonce: [u8; 12] = nonce.try_into().unwrap();
+        for len in GCM_EDGE_LENS.into_iter().chain([extra]) {
+            let pt = &data[..len];
+            let sealed = gcm::seal(&key, &nonce, &aad, pt);
+            prop_assert_eq!(gcm::open(&key, &nonce, &aad, &sealed).unwrap(), pt);
+            let mut bad = sealed.clone();
+            let idx = flip % bad.len();
+            bad[idx] ^= 1 << (flip % 8);
+            prop_assert!(gcm::open(&key, &nonce, &aad, &bad).is_err(), "len {}", len);
+        }
+    }
+
+    #[test]
+    fn gcm_open_in_place_rejects_flipped_bits_and_releases_nothing(
+        key in proptest::collection::vec(any::<u8>(), 16..=16),
+        nonce in proptest::collection::vec(any::<u8>(), 12..=12),
+        aad in proptest::collection::vec(any::<u8>(), 0..32),
+        data in proptest::collection::vec(any::<u8>(), 16384..=16384),
+        extra in 0usize..=16384,
+        flip in any::<usize>(),
+    ) {
+        let key: [u8; 16] = key.try_into().unwrap();
+        let nonce: [u8; 12] = nonce.try_into().unwrap();
+        let contexts = [Aes128Gcm::new(&key), Aes128Gcm::new_portable(&key)];
+        for len in GCM_EDGE_LENS.into_iter().chain([extra]) {
+            let mut sealed = Vec::new();
+            contexts[0].seal_into(&nonce, &aad, &data[..len], &mut sealed);
+            // One flipped bit in the ciphertext (when there is any) and one
+            // in the tag.
+            let mut targets = vec![len + flip % gcm::TAG_LEN];
+            if len > 0 {
+                targets.push(flip % len);
+            }
+            for idx in targets {
+                let mut bad = sealed.clone();
+                bad[idx] ^= 1 << (flip % 8);
+                for ctx in &contexts {
+                    let mut buf = bad.clone();
+                    prop_assert_eq!(
+                        ctx.open_in_place(&nonce, &aad, &mut buf),
+                        Err(CryptoError::BadMac),
+                        "len {} byte {}", len, idx
+                    );
+                    // Nothing was decrypted: the buffer still holds exactly
+                    // the tampered ciphertext and tag.
+                    prop_assert!(buf == bad, "len {} byte {}: plaintext released", len, idx);
+                }
+            }
+            for ctx in &contexts {
+                let mut buf = sealed.clone();
+                prop_assert_eq!(ctx.open_in_place(&nonce, &aad, &mut buf), Ok(len));
+                prop_assert_eq!(&buf[..len], &data[..len]);
+            }
+        }
     }
 }

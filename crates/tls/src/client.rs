@@ -229,8 +229,8 @@ impl ClientSide {
         let master = common.master.expect("set above");
         let suite = common.suite.expect("suite set");
         let keys = key_block(&master, &common.client_random, &common.server_random, suite);
-        common.records.set_read_keys(keys.server_write.clone());
-        common.pending_keys = Some(keys);
+        common.stage_keys(keys, true);
+        common.install_read_keys();
         Ok(())
     }
 
@@ -377,11 +377,11 @@ impl ClientSide {
         let master = master_secret(&premaster, &common.client_random, &common.server_random);
         common.master = Some(master);
         let keys = key_block(&master, &common.client_random, &common.server_random, suite);
+        common.stage_keys(keys, true);
         common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-        common.records.set_write_keys(keys.client_write.clone());
+        common.install_write_keys();
         let vd = verify_data(&master, &common.transcript.hash(), true);
         common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
-        common.pending_keys = Some(keys);
         self.state = State::AwaitNstOrCcsFull;
         Ok(())
     }
@@ -407,14 +407,8 @@ impl ClientSide {
             }
             State::AwaitFinishedAbbrev => {
                 // Our turn: CCS + client Finished.
-                let client_write = common
-                    .pending_keys
-                    .as_ref()
-                    .expect("keys derived")
-                    .client_write
-                    .clone();
                 common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-                common.records.set_write_keys(client_write);
+                common.install_write_keys();
                 let vd = verify_data(&master, &common.transcript.hash(), true);
                 common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
                 self.state = State::Established;
@@ -515,8 +509,7 @@ impl Side for ClientSide {
                 Ok(())
             }
             State::AwaitNstOrCcsFull => {
-                let keys = common.pending_keys.as_ref().expect("keys derived");
-                common.records.set_read_keys(keys.server_write.clone());
+                common.install_read_keys();
                 self.state = State::AwaitFinishedFull;
                 Ok(())
             }

@@ -20,7 +20,7 @@ use crate::error::TlsError;
 use crate::keys::{ConnectionKeys, Transcript};
 use crate::suites::CipherSuite;
 use crate::wire::handshake::{HandshakeMessage, HandshakeReassembler};
-use crate::wire::record::{ContentType, RecordLayer};
+use crate::wire::record::{ContentType, DirectionKeys, RecordLayer};
 use std::io;
 
 /// What a `process_new_packets()` step left behind for the caller.
@@ -44,6 +44,16 @@ pub(crate) enum Status {
     Established,
     Closed,
     Failed,
+}
+
+/// Traffic keys derived but not yet handed to the record layer, by this
+/// end's direction. Each direction moves out when it is installed, so an
+/// established connection holds none: the record layer's keyed ciphers
+/// are the only copy.
+#[derive(Default)]
+pub(crate) struct PendingKeys {
+    read: Option<DirectionKeys>,
+    write: Option<DirectionKeys>,
 }
 
 /// State common to both connection roles: record layer, reassembly,
@@ -72,7 +82,7 @@ pub struct ConnectionCommon {
     // ctlint: public
     pub(crate) server_random: [u8; 32],
     pub(crate) master: Option<[u8; 48]>,
-    pub(crate) pending_keys: Option<ConnectionKeys>,
+    pub(crate) pending_keys: PendingKeys,
     pub(crate) app_in: Vec<u8>,
 }
 
@@ -89,7 +99,7 @@ impl ConnectionCommon {
             client_random: [0; 32],
             server_random: [0; 32],
             master: None,
-            pending_keys: None,
+            pending_keys: PendingKeys::default(),
             app_in: Vec::new(),
         }
     }
@@ -168,6 +178,36 @@ impl ConnectionCommon {
     /// White-box access: the master secret (attacker/verification use).
     pub fn master_secret(&self) -> Option<[u8; 48]> {
         self.master
+    }
+
+    /// Stage a freshly derived key block, replacing anything staged
+    /// before: this end reads what the peer writes.
+    pub(crate) fn stage_keys(&mut self, keys: ConnectionKeys, is_client: bool) {
+        let ConnectionKeys {
+            client_write,
+            server_write,
+        } = keys;
+        let (read, write) = if is_client {
+            (server_write, client_write)
+        } else {
+            (client_write, server_write)
+        };
+        self.pending_keys = PendingKeys {
+            read: Some(read),
+            write: Some(write),
+        };
+    }
+
+    /// Move the staged read direction into the record layer.
+    pub(crate) fn install_read_keys(&mut self) {
+        let keys = self.pending_keys.read.take().expect("read keys staged");
+        self.records.set_read_keys(keys);
+    }
+
+    /// Move the staged write direction into the record layer.
+    pub(crate) fn install_write_keys(&mut self) {
+        let keys = self.pending_keys.write.take().expect("write keys staged");
+        self.records.set_write_keys(keys);
     }
 
     /// Encode one record into the persistent outgoing buffer.
@@ -249,14 +289,14 @@ pub(crate) fn process<S: Side + ?Sized>(
         _ => {}
     }
     loop {
-        let record = match common.records.next_record() {
+        let (content_type, payload) = match common.records.next_record_in_place() {
             Ok(Some(r)) => r,
             Ok(None) => return Ok(common.io_state()),
             Err(e) => return fail_conn(common, side, e, AlertDescription::DecodeError),
         };
-        match record.content_type {
+        match content_type {
             ContentType::Handshake => {
-                common.reasm.feed(&record.payload);
+                common.reasm.feed(payload);
                 loop {
                     let hint = common.suite;
                     match common.reasm.next(hint) {
@@ -272,14 +312,17 @@ pub(crate) fn process<S: Side + ?Sized>(
                 }
             }
             ContentType::ChangeCipherSpec => {
-                if let Err(e) = side.on_peer_ccs(common, &record.payload) {
+                // The side needs the whole connection, so the payload
+                // (one byte when well-formed) leaves the record buffer.
+                let payload = payload.to_vec();
+                if let Err(e) = side.on_peer_ccs(common, &payload) {
                     let desc = side.alert_for(&e);
                     return fail_conn(common, side, e, desc);
                 }
             }
             ContentType::Alert => {
                 side.set_failed();
-                if let Some(alert) = Alert::decode(&record.payload) {
+                if let Some(alert) = Alert::decode(payload) {
                     if alert.description != AlertDescription::CloseNotify {
                         common.status = Status::Failed;
                         return Err(TlsError::PeerAlert(alert.description));
@@ -300,8 +343,112 @@ pub(crate) fn process<S: Side + ?Sized>(
                         AlertDescription::UnexpectedMessage,
                     );
                 }
-                common.app_in.extend_from_slice(&record.payload);
+                common.app_in.extend_from_slice(payload);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{ClientConfig, ResumptionOffer, ServerConfig, ServerIdentity};
+    use crate::ephemeral::{EphemeralCache, EphemeralPolicy};
+    use crate::pump::pump;
+    use crate::server::ResumeKind;
+    use crate::ticket::{RotationPolicy, SharedStekManager, StekManager, TicketFormat};
+    use crate::{ClientConn, ServerConn};
+    use std::sync::Arc;
+    use ts_crypto::drbg::HmacDrbg;
+    use ts_crypto::rsa::RsaPrivateKey;
+    use ts_x509::{Certificate, CertificateParams, DistinguishedName, RootStore, Validity};
+
+    const HOST: &str = "keys.sim";
+
+    fn self_signed() -> (Arc<RootStore>, ServerConfig) {
+        let mut rng = HmacDrbg::new(b"pending-keys");
+        let key = RsaPrivateKey::generate(512, &mut rng).unwrap();
+        let name = DistinguishedName::cn(HOST);
+        let cert = Certificate::issue(
+            &CertificateParams {
+                serial: 1,
+                subject: name.clone(),
+                validity: Validity {
+                    not_before: 0,
+                    not_after: u32::MAX as u64,
+                },
+                dns_names: vec![HOST.into()],
+                is_ca: true,
+            },
+            &key.public,
+            &name,
+            &key,
+        );
+        let mut store = RootStore::new();
+        store.add_root(cert.clone());
+        let identity = Arc::new(ServerIdentity {
+            chain: vec![cert],
+            key,
+        });
+        let eph = EphemeralCache::new(
+            EphemeralPolicy::FreshPerHandshake,
+            ts_crypto::dh::DhGroup::Sim256,
+            HmacDrbg::new(b"pending-keys-eph"),
+        );
+        let mut cfg = ServerConfig::new(identity, eph);
+        cfg.tickets = Some(SharedStekManager::new(StekManager::new(
+            RotationPolicy::Static,
+            TicketFormat::Rfc5077,
+            HmacDrbg::new(b"pending-keys-stek"),
+            0,
+        )));
+        (Arc::new(store), cfg)
+    }
+
+    fn established(
+        store: &Arc<RootStore>,
+        cfg: &ServerConfig,
+        resumption: ResumptionOffer,
+        tag: &[u8],
+    ) -> (ClientConn, ServerConn) {
+        let mut ccfg = ClientConfig::new(store.clone(), HOST, 100);
+        ccfg.resumption = resumption;
+        let mut client = ClientConn::new(ccfg, HmacDrbg::new(&[tag, b"-c"].concat()));
+        let mut server = ServerConn::new(cfg.clone(), HmacDrbg::new(&[tag, b"-s"].concat()), 100);
+        pump(&mut client, &mut server).unwrap();
+        assert!(client.is_established() && server.is_established());
+        for (side, keys) in [
+            ("client", &client.pending_keys),
+            ("server", &server.pending_keys),
+        ] {
+            assert!(
+                keys.read.is_none() && keys.write.is_none(),
+                "established {side} still holds staged traffic keys"
+            );
+        }
+        (client, server)
+    }
+
+    /// Full, session-ID and ticket handshakes install the directions in
+    /// different orders on each side; every path must leave no staged copy.
+    #[test]
+    fn established_connections_hold_no_pending_keys() {
+        let (store, cfg) = self_signed();
+        let (client, _) = established(&store, &cfg, ResumptionOffer::default(), b"full");
+        let summary = client.summary().unwrap();
+        let sid = ResumptionOffer {
+            session: Some((summary.server_session_id.clone(), summary.session.clone())),
+            ticket: None,
+        };
+        let (_, server) = established(&store, &cfg, sid, b"sid");
+        assert_eq!(server.resumed(), Some(ResumeKind::SessionId));
+        let ticket = ResumptionOffer {
+            session: None,
+            ticket: Some((
+                summary.new_ticket.clone().expect("ticket issued").ticket,
+                summary.session.clone(),
+            )),
+        };
+        let (_, server) = established(&store, &cfg, ticket, b"ticket");
+        assert_eq!(server.resumed(), Some(ResumeKind::Ticket));
     }
 }

@@ -27,7 +27,8 @@ pub fn master_secret(
 ///
 /// No `Drop` impl of its own: both [`DirectionKeys`] fields wipe themselves
 /// on drop, and leaving `ConnectionKeys` free of `Drop` keeps its fields
-/// movable (the handshake layers clone directions into the record layer).
+/// movable (the handshake layers move each direction into the record
+/// layer, so no second copy outlives the handshake).
 // ctlint: secret
 pub struct ConnectionKeys {
     /// Keys for data the client writes.

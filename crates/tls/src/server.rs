@@ -341,12 +341,12 @@ impl ServerSide {
 
         let master = state.master_secret;
         let keys = key_block(&master, &common.client_random, &common.server_random, suite);
+        common.stage_keys(keys, false);
         // Server speaks first in an abbreviated handshake.
         common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-        common.records.set_write_keys(keys.server_write.clone());
+        common.install_write_keys();
         let vd = verify_data(&master, &common.transcript.hash(), false);
         common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
-        common.pending_keys = Some(keys);
         self.state = State::AwaitCcs;
         Ok(())
     }
@@ -388,12 +388,8 @@ impl ServerSide {
         };
         let master = master_secret(&premaster, &common.client_random, &common.server_random);
         common.master = Some(master);
-        common.pending_keys = Some(key_block(
-            &master,
-            &common.client_random,
-            &common.server_random,
-            suite,
-        ));
+        let keys = key_block(&master, &common.client_random, &common.server_random, suite);
+        common.stage_keys(keys, false);
         self.state = State::AwaitCcs;
         Ok(())
     }
@@ -446,14 +442,8 @@ impl ServerSide {
                 ticket,
             }));
         }
-        let server_write = common
-            .pending_keys
-            .as_ref()
-            .expect("keys derived")
-            .server_write
-            .clone();
         common.queue_record(ContentType::ChangeCipherSpec, &[1]);
-        common.records.set_write_keys(server_write);
+        common.install_write_keys();
         let vd = verify_data(&master, &common.transcript.hash(), false);
         common.send_handshake(&HandshakeMessage::Finished(Finished { verify_data: vd }));
         self.state = State::Established;
@@ -502,11 +492,7 @@ impl Side for ServerSide {
                 got: "ChangeCipherSpec",
             });
         }
-        let keys = common
-            .pending_keys
-            .as_ref()
-            .expect("keys derived before CCS");
-        common.records.set_read_keys(keys.client_write.clone());
+        common.install_read_keys();
         self.state = State::AwaitFinished;
         Ok(())
     }

@@ -6,7 +6,6 @@
 //! as raw bytes, as a real implementation must.
 
 use crate::error::TlsError;
-use bytes::BufMut;
 
 /// A hello extension.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,17 +41,17 @@ impl Extension {
             Extension::ServerName(name) => {
                 // ServerNameList: u16 list len, type 0 (host_name), u16 name len, name.
                 let mut out = Vec::with_capacity(name.len() + 5);
-                out.put_u16(name.len() as u16 + 3);
+                out.extend_from_slice(&(name.len() as u16 + 3).to_be_bytes());
                 out.push(0);
-                out.put_u16(name.len() as u16);
+                out.extend_from_slice(&(name.len() as u16).to_be_bytes());
                 out.extend_from_slice(name.as_bytes());
                 out
             }
             Extension::SupportedGroups(groups) => {
                 let mut out = Vec::with_capacity(groups.len() * 2 + 2);
-                out.put_u16(groups.len() as u16 * 2);
+                out.extend_from_slice(&(groups.len() as u16 * 2).to_be_bytes());
                 for g in groups {
-                    out.put_u16(*g);
+                    out.extend_from_slice(&g.to_be_bytes());
                 }
                 out
             }
@@ -64,8 +63,8 @@ impl Extension {
     /// Encode this extension (type, length, data) into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let data = self.data_bytes();
-        out.put_u16(self.ext_type());
-        out.put_u16(data.len() as u16);
+        out.extend_from_slice(&self.ext_type().to_be_bytes());
+        out.extend_from_slice(&(data.len() as u16).to_be_bytes());
         out.extend_from_slice(&data);
     }
 
@@ -120,7 +119,7 @@ pub fn encode_extensions(exts: &[Extension], out: &mut Vec<u8>) {
     for e in exts {
         e.encode(&mut body);
     }
-    out.put_u16(body.len() as u16);
+    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
     out.extend_from_slice(&body);
 }
 

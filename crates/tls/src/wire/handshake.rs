@@ -9,7 +9,6 @@
 use crate::error::TlsError;
 use crate::suites::CipherSuite;
 use crate::wire::extensions::{decode_extensions, encode_extensions, Extension};
-use bytes::BufMut;
 
 /// Length of hello random values.
 pub const RANDOM_LEN: usize = 32;
@@ -239,9 +238,9 @@ impl HandshakeMessage {
                 out.extend_from_slice(&ch.random);
                 out.push(ch.session_id.len() as u8);
                 out.extend_from_slice(&ch.session_id);
-                out.put_u16(ch.cipher_suites.len() as u16 * 2);
+                out.extend_from_slice(&(ch.cipher_suites.len() as u16 * 2).to_be_bytes());
                 for s in &ch.cipher_suites {
-                    out.put_u16(*s);
+                    out.extend_from_slice(&s.to_be_bytes());
                 }
                 out.push(1); // compression methods length
                 out.push(0); // null compression
@@ -253,7 +252,7 @@ impl HandshakeMessage {
                 out.extend_from_slice(&sh.random);
                 out.push(sh.session_id.len() as u8);
                 out.extend_from_slice(&sh.session_id);
-                out.put_u16(sh.cipher_suite);
+                out.extend_from_slice(&sh.cipher_suite.to_be_bytes());
                 out.push(0); // null compression
                 encode_extensions(&sh.extensions, &mut out);
             }
@@ -269,21 +268,21 @@ impl HandshakeMessage {
                 match &ske.params {
                     ServerKexParams::Dhe { p, g, ys } => {
                         out.push(0); // our tag: 0 = FFDHE params
-                        out.put_u16(p.len() as u16);
+                        out.extend_from_slice(&(p.len() as u16).to_be_bytes());
                         out.extend_from_slice(p);
-                        out.put_u16(g.len() as u16);
+                        out.extend_from_slice(&(g.len() as u16).to_be_bytes());
                         out.extend_from_slice(g);
-                        out.put_u16(ys.len() as u16);
+                        out.extend_from_slice(&(ys.len() as u16).to_be_bytes());
                         out.extend_from_slice(ys);
                     }
                     ServerKexParams::Ecdhe { point } => {
                         out.push(3); // curve_type named_curve
-                        out.put_u16(29); // x25519
+                        out.extend_from_slice(&29u16.to_be_bytes()); // x25519
                         out.push(point.len() as u8);
                         out.extend_from_slice(point);
                     }
                 }
-                out.put_u16(ske.signature.len() as u16);
+                out.extend_from_slice(&(ske.signature.len() as u16).to_be_bytes());
                 out.extend_from_slice(&ske.signature);
             }
             HandshakeMessage::ServerHelloDone => {}
@@ -291,11 +290,11 @@ impl HandshakeMessage {
                 ClientKeyExchange::Rsa {
                     encrypted_premaster,
                 } => {
-                    out.put_u16(encrypted_premaster.len() as u16);
+                    out.extend_from_slice(&(encrypted_premaster.len() as u16).to_be_bytes());
                     out.extend_from_slice(encrypted_premaster);
                 }
                 ClientKeyExchange::Dhe { yc } => {
-                    out.put_u16(yc.len() as u16);
+                    out.extend_from_slice(&(yc.len() as u16).to_be_bytes());
                     out.extend_from_slice(yc);
                 }
                 ClientKeyExchange::Ecdhe { point } => {
@@ -304,8 +303,8 @@ impl HandshakeMessage {
                 }
             },
             HandshakeMessage::NewSessionTicket(nst) => {
-                out.put_u32(nst.lifetime_hint);
-                out.put_u16(nst.ticket.len() as u16);
+                out.extend_from_slice(&nst.lifetime_hint.to_be_bytes());
+                out.extend_from_slice(&(nst.ticket.len() as u16).to_be_bytes());
                 out.extend_from_slice(&nst.ticket);
             }
             HandshakeMessage::Finished(f) => {

@@ -3,12 +3,14 @@
 //! Records carry a content type, protocol version, and a length-prefixed
 //! fragment of at most 2^14 bytes. [`RecordLayer`] handles framing in both
 //! directions over plain byte buffers (the sans-io boundary) plus record
-//! protection once keys are active.
+//! protection once keys are active. Each direction's cipher is keyed once
+//! when its keys are installed; records are sealed straight into the
+//! caller's output buffer and opened in place in the reassembly buffer.
 
 use crate::error::TlsError;
 use crate::suites::RecordProtection;
-use bytes::{Buf, BufMut, BytesMut};
 use ts_crypto::aead;
+use ts_crypto::gcm::{Aes128Gcm, TAG_LEN};
 
 /// Maximum plaintext fragment length (2^14).
 pub const MAX_FRAGMENT_LEN: usize = 16_384;
@@ -67,7 +69,6 @@ pub struct Record {
 /// [`crate::keys::ConnectionKeys`] holding a pair of these) scrubs the
 /// traffic keys rather than leaving them for a later memory compromise.
 // ctlint: secret
-#[derive(Clone)]
 pub struct DirectionKeys {
     /// Protection algorithm.
     pub protection: RecordProtection,
@@ -94,83 +95,160 @@ impl Drop for DirectionKeys {
     }
 }
 
-impl DirectionKeys {
-    fn seal(&self, seq: u64, content_type: ContentType, plaintext: &[u8]) -> Vec<u8> {
-        let aad = record_aad(seq, content_type, plaintext.len());
-        match self.protection {
-            RecordProtection::ChaCha20Poly1305 => {
-                let key: &[u8; 32] = self.enc_key[..32].try_into().expect("key len");
-                let nonce = xor_nonce(&self.fixed_iv, seq);
-                aead::chacha20poly1305_seal(key, &nonce, &aad, plaintext)
+/// One direction's record protection, keyed once when the direction is
+/// installed: every record after that pays only for the cipher itself.
+// ctlint: secret
+// Built once per direction and never moved on the record path, so the
+// GCM variant's size costs nothing that boxing it would save.
+#[allow(clippy::large_enum_variant)]
+enum RecordCipher {
+    Aes128Gcm {
+        gcm: Aes128Gcm,
+        fixed_iv: [u8; 12],
+    },
+    ChaCha20Poly1305 {
+        key: [u8; 32],
+        fixed_iv: [u8; 12],
+    },
+    CbcHmacSha256 {
+        enc_key: [u8; 16],
+        mac_key: [u8; 32],
+        fixed_iv: [u8; 16],
+    },
+}
+
+impl ts_crypto::wipe::Wipe for RecordCipher {
+    fn wipe(&mut self) {
+        use ts_crypto::wipe::wipe_bytes;
+        match self {
+            RecordCipher::Aes128Gcm { gcm, fixed_iv } => {
+                gcm.wipe();
+                wipe_bytes(fixed_iv);
             }
-            RecordProtection::Aes128Gcm => {
-                let key: &[u8; 16] = self.enc_key[..16].try_into().expect("key len");
+            RecordCipher::ChaCha20Poly1305 { key, fixed_iv } => {
+                wipe_bytes(key);
+                wipe_bytes(fixed_iv);
+            }
+            RecordCipher::CbcHmacSha256 {
+                enc_key,
+                mac_key,
+                fixed_iv,
+            } => {
+                wipe_bytes(enc_key);
+                wipe_bytes(mac_key);
+                wipe_bytes(fixed_iv);
+            }
+        }
+    }
+}
+
+impl Drop for RecordCipher {
+    fn drop(&mut self) {
+        use ts_crypto::wipe::Wipe;
+        self.wipe();
+    }
+}
+
+impl RecordCipher {
+    fn new(keys: &DirectionKeys) -> Self {
+        let iv12 = || -> [u8; 12] { keys.fixed_iv[..12].try_into().expect("iv len") };
+        match keys.protection {
+            RecordProtection::Aes128Gcm => RecordCipher::Aes128Gcm {
+                gcm: Aes128Gcm::new(keys.enc_key[..16].try_into().expect("key len")),
+                fixed_iv: iv12(),
+            },
+            RecordProtection::ChaCha20Poly1305 => RecordCipher::ChaCha20Poly1305 {
+                key: keys.enc_key[..32].try_into().expect("key len"),
+                fixed_iv: iv12(),
+            },
+            RecordProtection::CbcHmacSha256 => RecordCipher::CbcHmacSha256 {
+                enc_key: keys.enc_key[..16].try_into().expect("key len"),
+                mac_key: keys.mac_key[..32].try_into().expect("mac len"),
+                fixed_iv: keys.fixed_iv[..16].try_into().expect("iv len"),
+            },
+        }
+    }
+
+    /// Protect one record, appending the body to `out`.
+    fn seal_into(&self, seq: u64, content_type: ContentType, plaintext: &[u8], out: &mut Vec<u8>) {
+        let aad = record_aad(seq, content_type);
+        match self {
+            RecordCipher::Aes128Gcm { gcm, fixed_iv } => {
                 // Real TLS 1.2 GCM sends an explicit 8-byte nonce part; the
                 // simulation derives the per-record nonce as fixed-IV XOR
                 // sequence (the ChaCha20 construction), which is equivalent
                 // for the measurement and keeps records deterministic.
-                let nonce = xor_nonce(&self.fixed_iv, seq);
-                aead::aes128gcm_seal(key, &nonce, &aad, plaintext)
+                gcm.seal_into(&xor_nonce(fixed_iv, seq), &aad, plaintext, out);
             }
-            RecordProtection::CbcHmacSha256 => {
-                let enc_key: &[u8; 16] = self.enc_key[..16].try_into().expect("key len");
-                let mac_key: &[u8; 32] = self.mac_key[..32].try_into().expect("mac len");
+            RecordCipher::ChaCha20Poly1305 { key, fixed_iv } => {
+                let nonce = xor_nonce(fixed_iv, seq);
+                aead::chacha20poly1305_seal_into(key, &nonce, &aad, plaintext, out);
+            }
+            RecordCipher::CbcHmacSha256 {
+                enc_key,
+                mac_key,
+                fixed_iv,
+            } => {
                 // Per-record IV derived from fixed IV + sequence (real TLS
                 // sends an explicit random IV; a derived IV is equivalent
                 // for the simulation and keeps records deterministic).
-                let mut iv = [0u8; 16];
-                iv.copy_from_slice(&self.fixed_iv[..16]);
+                let mut iv = *fixed_iv;
                 for (i, b) in seq.to_be_bytes().iter().enumerate() {
                     iv[8 + i] ^= b;
                 }
-                aead::cbc_hmac_seal(enc_key, mac_key, &iv, &aad, plaintext)
+                out.extend_from_slice(&aead::cbc_hmac_seal(enc_key, mac_key, &iv, &aad, plaintext));
             }
         }
     }
 
-    fn open(
+    /// Verify and decrypt one record body in place, returning the
+    /// plaintext as a prefix of `body`.
+    fn open_in_place<'a>(
         &self,
         seq: u64,
         content_type: ContentType,
-        ciphertext: &[u8],
-    ) -> Result<Vec<u8>, TlsError> {
-        // The AAD commits to the *plaintext* length in real TLS 1.2 AEAD;
-        // we commit to zero and bind length through the MAC input instead,
-        // so the AAD is computable before decryption.
-        let aad = record_aad(seq, content_type, 0);
-        match self.protection {
-            RecordProtection::ChaCha20Poly1305 => {
-                let key: &[u8; 32] = self.enc_key[..32].try_into().expect("key len");
-                let nonce = xor_nonce(&self.fixed_iv, seq);
-                aead::chacha20poly1305_open(key, &nonce, &aad, ciphertext).map_err(Into::into)
+        body: &'a mut [u8],
+    ) -> Result<&'a [u8], TlsError> {
+        let aad = record_aad(seq, content_type);
+        match self {
+            RecordCipher::Aes128Gcm { gcm, fixed_iv } => {
+                gcm.open_in_place(&xor_nonce(fixed_iv, seq), &aad, body)?;
             }
-            RecordProtection::Aes128Gcm => {
-                let key: &[u8; 16] = self.enc_key[..16].try_into().expect("key len");
-                let nonce = xor_nonce(&self.fixed_iv, seq);
-                aead::aes128gcm_open(key, &nonce, &aad, ciphertext).map_err(Into::into)
+            RecordCipher::ChaCha20Poly1305 { key, fixed_iv } => {
+                let nonce = xor_nonce(fixed_iv, seq);
+                aead::chacha20poly1305_open_in_place(key, &nonce, &aad, body)?;
             }
-            RecordProtection::CbcHmacSha256 => {
-                let enc_key: &[u8; 16] = self.enc_key[..16].try_into().expect("key len");
-                let mac_key: &[u8; 32] = self.mac_key[..32].try_into().expect("mac len");
-                aead::cbc_hmac_open(enc_key, mac_key, &aad, ciphertext).map_err(Into::into)
+            RecordCipher::CbcHmacSha256 {
+                enc_key, mac_key, ..
+            } => {
+                // The plaintext is shorter than the body (IV, padding and
+                // MAC are stripped), so it always fits back in place.
+                let pt = aead::cbc_hmac_open(enc_key, mac_key, &aad, body)?;
+                body[..pt.len()].copy_from_slice(&pt);
+                return Ok(&body[..pt.len()]);
             }
         }
+        // Both AEADs leave the plaintext in front of their 16-byte tag.
+        Ok(&body[..body.len() - TAG_LEN])
     }
 }
 
-/// AAD = seq(8) || type(1) || version(2). Length is bound by the MAC body.
-fn record_aad(seq: u64, content_type: ContentType, _len: usize) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(11);
-    aad.extend_from_slice(&seq.to_be_bytes());
-    aad.push(content_type.to_byte());
-    aad.push(PROTOCOL_VERSION.0);
-    aad.push(PROTOCOL_VERSION.1);
+/// The AAD both directions use: seq(8) || type(1) || version(2). Real
+/// TLS 1.2 AEAD also commits to the plaintext length here; this stack
+/// leaves it out, so the AAD is computable before decryption, and binds
+/// the length through the tag (GCM, ChaCha20-Poly1305) or the MAC over
+/// the ciphertext (CBC-HMAC) instead.
+fn record_aad(seq: u64, content_type: ContentType) -> [u8; 11] {
+    let mut aad = [0u8; 11];
+    aad[..8].copy_from_slice(&seq.to_be_bytes());
+    aad[8] = content_type.to_byte();
+    aad[9] = PROTOCOL_VERSION.0;
+    aad[10] = PROTOCOL_VERSION.1;
     aad
 }
 
-fn xor_nonce(fixed_iv: &[u8], seq: u64) -> [u8; 12] {
-    let mut nonce = [0u8; 12];
-    nonce.copy_from_slice(&fixed_iv[..12]);
+fn xor_nonce(fixed_iv: &[u8; 12], seq: u64) -> [u8; 12] {
+    let mut nonce = *fixed_iv;
     for (i, b) in seq.to_be_bytes().iter().enumerate() {
         nonce[4 + i] ^= b;
     }
@@ -186,17 +264,27 @@ pub fn decrypt_captured(
     content_type: ContentType,
     body: &[u8],
 ) -> Result<Vec<u8>, TlsError> {
-    keys.open(seq, content_type, body)
+    let mut buf = body.to_vec();
+    let n = RecordCipher::new(keys)
+        .open_in_place(seq, content_type, &mut buf)?
+        .len();
+    buf.truncate(n);
+    Ok(buf)
 }
+
+/// Length of a record header: type(1) || version(2) || length(2).
+const HEADER_LEN: usize = 5;
 
 /// Framing plus optional protection for one connection end.
 pub struct RecordLayer {
     // Reassembly buffer of raw transport bytes — by definition what the
-    // network already carried.
+    // network already carried. Records are decrypted in place here.
     // ctlint: public
-    incoming: BytesMut,
-    read_keys: Option<DirectionKeys>,
-    write_keys: Option<DirectionKeys>,
+    incoming: Vec<u8>,
+    /// Start of the first unconsumed byte of `incoming`.
+    read_pos: usize,
+    read_cipher: Option<RecordCipher>,
+    write_cipher: Option<RecordCipher>,
     read_seq: u64,
     write_seq: u64,
 }
@@ -211,92 +299,113 @@ impl RecordLayer {
     /// Fresh unprotected record layer.
     pub fn new() -> Self {
         RecordLayer {
-            incoming: BytesMut::new(),
-            read_keys: None,
-            write_keys: None,
+            incoming: Vec::new(),
+            read_pos: 0,
+            read_cipher: None,
+            write_cipher: None,
             read_seq: 0,
             write_seq: 0,
         }
     }
 
     /// Activate protection for the write direction (after sending CCS).
+    /// The cipher is keyed here, once; `keys` is wiped when it drops.
     pub fn set_write_keys(&mut self, keys: DirectionKeys) {
-        self.write_keys = Some(keys);
+        self.write_cipher = Some(RecordCipher::new(&keys));
         self.write_seq = 0;
     }
 
     /// Activate protection for the read direction (after receiving CCS).
+    /// The cipher is keyed here, once; `keys` is wiped when it drops.
     pub fn set_read_keys(&mut self, keys: DirectionKeys) {
-        self.read_keys = Some(keys);
+        self.read_cipher = Some(RecordCipher::new(&keys));
         self.read_seq = 0;
     }
 
     /// True once write protection is active.
     pub fn write_protected(&self) -> bool {
-        self.write_keys.is_some()
+        self.write_cipher.is_some()
     }
 
     /// Frame (and protect, if active) a payload into `out`, fragmenting at
-    /// [`MAX_FRAGMENT_LEN`].
+    /// [`MAX_FRAGMENT_LEN`]. Each body is sealed straight into `out`.
     pub fn write_record(&mut self, content_type: ContentType, payload: &[u8], out: &mut Vec<u8>) {
-        let mut chunks: Vec<&[u8]> = payload.chunks(MAX_FRAGMENT_LEN).collect();
-        if chunks.is_empty() {
-            chunks.push(&[]);
-        }
-        for chunk in chunks {
-            let body = match &self.write_keys {
-                Some(keys) => {
-                    let sealed = keys.seal(self.write_seq, content_type, chunk);
+        let mut chunks = payload.chunks(MAX_FRAGMENT_LEN);
+        let first = chunks.next().unwrap_or(&[]);
+        for chunk in std::iter::once(first).chain(chunks) {
+            let header = out.len();
+            out.extend_from_slice(&[
+                content_type.to_byte(),
+                PROTOCOL_VERSION.0,
+                PROTOCOL_VERSION.1,
+                0,
+                0,
+            ]);
+            match &self.write_cipher {
+                Some(cipher) => {
+                    cipher.seal_into(self.write_seq, content_type, chunk, out);
                     self.write_seq += 1;
-                    sealed
                 }
-                None => chunk.to_vec(),
-            };
-            out.push(content_type.to_byte());
-            out.push(PROTOCOL_VERSION.0);
-            out.push(PROTOCOL_VERSION.1);
-            out.put_u16(body.len() as u16);
-            out.extend_from_slice(&body);
+                None => out.extend_from_slice(chunk),
+            }
+            let body_len = (out.len() - header - HEADER_LEN) as u16;
+            out[header + 3..header + HEADER_LEN].copy_from_slice(&body_len.to_be_bytes());
         }
     }
 
-    /// Feed raw transport bytes into the reassembly buffer.
+    /// Feed raw transport bytes into the reassembly buffer. Consumed
+    /// records are dropped first, so the buffer holds at most one partial
+    /// record ahead of `data`.
     pub fn feed(&mut self, data: &[u8]) {
+        if self.read_pos > 0 {
+            self.incoming.drain(..self.read_pos);
+            self.read_pos = 0;
+        }
         self.incoming.extend_from_slice(data);
     }
 
-    /// Pop the next complete record, decrypting if protection is active.
-    /// Returns `Ok(None)` when more bytes are needed.
-    pub fn next_record(&mut self) -> Result<Option<Record>, TlsError> {
-        if self.incoming.len() < 5 {
+    /// Pop the next complete record, decrypting it in place if protection
+    /// is active, and borrow its content type and payload. Returns
+    /// `Ok(None)` when more bytes are needed.
+    pub fn next_record_in_place(&mut self) -> Result<Option<(ContentType, &[u8])>, TlsError> {
+        let pending = &self.incoming[self.read_pos..];
+        if pending.len() < HEADER_LEN {
             return Ok(None);
         }
-        let content_type = ContentType::from_byte(self.incoming[0])
-            .ok_or(TlsError::Decode("unknown content type"))?;
-        if self.incoming[1] != PROTOCOL_VERSION.0 || self.incoming[2] != PROTOCOL_VERSION.1 {
+        let content_type =
+            ContentType::from_byte(pending[0]).ok_or(TlsError::Decode("unknown content type"))?;
+        if pending[1] != PROTOCOL_VERSION.0 || pending[2] != PROTOCOL_VERSION.1 {
             return Err(TlsError::Decode("unsupported record version"));
         }
-        let len = u16::from_be_bytes([self.incoming[3], self.incoming[4]]) as usize;
+        let len = u16::from_be_bytes([pending[3], pending[4]]) as usize;
         if len > MAX_FRAGMENT_LEN + 1024 {
             return Err(TlsError::Decode("record too long"));
         }
-        if self.incoming.len() < 5 + len {
+        if pending.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        self.incoming.advance(5);
-        let body = self.incoming.split_to(len).to_vec();
-        let payload = match &self.read_keys {
-            Some(keys) => {
-                let pt = keys.open(self.read_seq, content_type, &body)?;
+        let start = self.read_pos + HEADER_LEN;
+        self.read_pos = start + len;
+        let body = &mut self.incoming[start..start + len];
+        let payload = match &self.read_cipher {
+            Some(cipher) => {
+                let pt = cipher.open_in_place(self.read_seq, content_type, body)?;
                 self.read_seq += 1;
                 pt
             }
             None => body,
         };
-        Ok(Some(Record {
-            content_type,
-            payload,
-        }))
+        Ok(Some((content_type, payload)))
+    }
+
+    /// [`Self::next_record_in_place`] with the payload copied out.
+    pub fn next_record(&mut self) -> Result<Option<Record>, TlsError> {
+        Ok(self
+            .next_record_in_place()?
+            .map(|(content_type, payload)| Record {
+                content_type,
+                payload: payload.to_vec(),
+            }))
     }
 }
 

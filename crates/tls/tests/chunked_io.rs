@@ -3,7 +3,8 @@
 //! exactly the handshake that single-shot delivery produces. The property
 //! test drives the same seeded handshake under arbitrary chunk schedules
 //! and asserts the transcript hash, master secret, and full wire capture
-//! are identical to the reference run.
+//! are identical to the reference run. A pinned known-answer capture of a
+//! 40,000-byte echo extends the same contract to protected records.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -11,6 +12,7 @@ use ts_crypto::drbg::HmacDrbg;
 use ts_crypto::rsa::RsaPrivateKey;
 use ts_tls::config::{ClientConfig, ServerConfig, ServerIdentity};
 use ts_tls::ephemeral::{EphemeralCache, EphemeralPolicy};
+use ts_tls::suites::CipherSuite;
 use ts_tls::{ClientConn, ConnectionCommon, ServerConn};
 use ts_x509::{Certificate, CertificateParams, DistinguishedName, RootStore, Validity};
 
@@ -72,6 +74,11 @@ fn env() -> &'static Env {
 }
 
 fn fresh_pair() -> (ClientConn, ServerConn) {
+    fresh_pair_with(None)
+}
+
+/// [`fresh_pair`] with the server restricted to `suite` when given.
+fn fresh_pair_with(suite: Option<CipherSuite>) -> (ClientConn, ServerConn) {
     let e = env();
     // Fresh ephemeral cache per handshake, same seed: identical server
     // key-exchange bytes on every run.
@@ -80,7 +87,10 @@ fn fresh_pair() -> (ClientConn, ServerConn) {
         ts_crypto::dh::DhGroup::Sim256,
         HmacDrbg::new(b"chunk-eph"),
     );
-    let cfg = ServerConfig::new(e.identity.clone(), eph);
+    let mut cfg = ServerConfig::new(e.identity.clone(), eph);
+    if let Some(suite) = suite {
+        cfg.suites = vec![suite];
+    }
     let client = ClientConn::new(
         ClientConfig::new(e.store.clone(), "chunk.sim", 100),
         HmacDrbg::new(b"chunk-c"),
@@ -125,31 +135,38 @@ struct Outcome {
     server_to_client: Vec<u8>,
 }
 
-/// Run the fixed-seed handshake delivering bytes per `chunk_plan`
-/// (cycled; `None` = single-shot).
-fn run_handshake(chunk_plan: Option<Vec<usize>>) -> Outcome {
-    let (mut client, mut server) = fresh_pair();
-    let mut chunks: Box<dyn Iterator<Item = usize>> = match chunk_plan {
+/// A chunk schedule: `plan` cycled, or single-shot delivery for `None`.
+fn chunk_schedule(chunk_plan: Option<Vec<usize>>) -> Box<dyn Iterator<Item = usize>> {
+    match chunk_plan {
         Some(plan) if !plan.is_empty() => Box::new(plan.into_iter().cycle()),
         _ => Box::new(std::iter::repeat(usize::MAX)),
-    };
-    let mut c2s = Vec::new();
-    let mut s2c = Vec::new();
+    }
+}
+
+/// Shuttle bytes both ways under `chunks` until neither side has output,
+/// appending everything each side sent to `c2s` / `s2c`.
+fn exchange(
+    client: &mut ClientConn,
+    server: &mut ServerConn,
+    chunks: &mut dyn Iterator<Item = usize>,
+    c2s: &mut Vec<u8>,
+    s2c: &mut Vec<u8>,
+) {
     for _ in 0..16 {
         let mut progressed = false;
-        let from_client = drain(&mut client);
+        let from_client = drain(client);
         if !from_client.is_empty() {
             progressed = true;
             c2s.extend_from_slice(&from_client);
-            deliver_chunked(&mut server, &from_client, &mut chunks, &|s| {
+            deliver_chunked(server, &from_client, chunks, &|s| {
                 s.process_new_packets().unwrap();
             });
         }
-        let from_server = drain(&mut server);
+        let from_server = drain(server);
         if !from_server.is_empty() {
             progressed = true;
             s2c.extend_from_slice(&from_server);
-            deliver_chunked(&mut client, &from_server, &mut chunks, &|c| {
+            deliver_chunked(client, &from_server, chunks, &|c| {
                 c.process_new_packets().unwrap();
             });
         }
@@ -157,6 +174,16 @@ fn run_handshake(chunk_plan: Option<Vec<usize>>) -> Outcome {
             break;
         }
     }
+}
+
+/// Run the fixed-seed handshake delivering bytes per `chunk_plan`
+/// (cycled; `None` = single-shot).
+fn run_handshake(chunk_plan: Option<Vec<usize>>) -> Outcome {
+    let (mut client, mut server) = fresh_pair();
+    let mut chunks = chunk_schedule(chunk_plan);
+    let mut c2s = Vec::new();
+    let mut s2c = Vec::new();
+    exchange(&mut client, &mut server, &mut chunks, &mut c2s, &mut s2c);
     assert!(client.is_established(), "client established");
     assert!(server.is_established(), "server established");
     Outcome {
@@ -166,6 +193,57 @@ fn run_handshake(chunk_plan: Option<Vec<usize>>) -> Outcome {
         server_to_client: s2c,
     }
 }
+
+/// Application bytes each way in the echo KAT: two full 2^14-byte
+/// records and a partial third.
+const ECHO_BYTES: usize = 40_000;
+
+/// Handshake on `suite`, then the client sends [`ECHO_BYTES`] seeded
+/// bytes and the server echoes them back. Returns the SHA-256 of the
+/// whole wire capture (client-to-server bytes, then server-to-client).
+fn echo_capture_hash(suite: CipherSuite, chunk_plan: Option<Vec<usize>>) -> String {
+    let (mut client, mut server) = fresh_pair_with(Some(suite));
+    let mut chunks = chunk_schedule(chunk_plan);
+    let mut c2s = Vec::new();
+    let mut s2c = Vec::new();
+    exchange(&mut client, &mut server, &mut chunks, &mut c2s, &mut s2c);
+    assert!(client.is_established() && server.is_established());
+    let payload = HmacDrbg::new(b"chunk-echo").bytes(ECHO_BYTES);
+    client.send_app_data(&payload).unwrap();
+    exchange(&mut client, &mut server, &mut chunks, &mut c2s, &mut s2c);
+    let upstream = server.recv_app_data();
+    assert!(upstream == payload, "server received the payload");
+    server.send_app_data(&upstream).unwrap();
+    exchange(&mut client, &mut server, &mut chunks, &mut c2s, &mut s2c);
+    assert!(
+        client.recv_app_data() == payload,
+        "client received the echo"
+    );
+    let mut wire = c2s;
+    wire.extend_from_slice(&s2c);
+    ts_crypto::sha256::sha256(&wire)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// The echo captures, one per record protection. Records are
+/// deterministic (the per-record nonce and IV derive from the sequence
+/// number), so these pin every byte the record layer puts on the wire.
+const ECHO_KATS: [(CipherSuite, &str); 3] = [
+    (
+        CipherSuite::EcdheRsaAes128GcmSha256,
+        "ba2c8abdd018f1d6453b95144ee945cc242c6e386d1657153f9e58cb6eaac4a1",
+    ),
+    (
+        CipherSuite::EcdheRsaChaCha20Poly1305,
+        "fa07efd4e3f62a948fc05ba8ee2b2258d121e68ff4c4e8a929da53a0806322b2",
+    ),
+    (
+        CipherSuite::EcdheRsaAes128CbcSha256,
+        "ab12acdc541b5f54dd89d793d555865ec74c9c3c79ac1fc00fe3cd6725c4f8ea",
+    ),
+];
 
 fn reference() -> &'static Outcome {
     static REF: OnceLock<Outcome> = OnceLock::new();
@@ -196,4 +274,30 @@ fn one_byte_at_a_time_still_handshakes() {
     assert_eq!(byte_by_byte.master, reference.master);
     assert_eq!(byte_by_byte.client_to_server, reference.client_to_server);
     assert_eq!(byte_by_byte.server_to_client, reference.server_to_client);
+}
+
+#[test]
+fn echo_wire_capture_matches_kat() {
+    for (suite, want) in ECHO_KATS {
+        assert_eq!(echo_capture_hash(suite, None), want, "{suite:?}");
+    }
+}
+
+#[test]
+fn echo_one_byte_at_a_time_matches_kat() {
+    let (suite, want) = ECHO_KATS[0];
+    assert_eq!(echo_capture_hash(suite, Some(vec![1])), want);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn chunked_echo_matches_kat(
+        plan in proptest::collection::vec(1usize..20_000, 1..8),
+        which in 0usize..3,
+    ) {
+        let (suite, want) = ECHO_KATS[which];
+        prop_assert_eq!(echo_capture_hash(suite, Some(plan)), want);
+    }
 }
