@@ -6,9 +6,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::time::Duration;
 use ts_core::cdf::Cdf;
-use ts_core::groups;
-use ts_core::lifetime::SpanEstimator;
 use ts_core::observations::TicketSighting;
+use ts_core::stream::{GroupAcc, SpanAcc};
 use ts_core::unionfind::UnionFind;
 
 /// Synthesize a campaign: `domains` domains × `days` days of sightings,
@@ -46,10 +45,12 @@ fn bench_span_estimation(c: &mut Criterion) {
         g.throughput(Throughput::Elements(sightings.len() as u64));
         g.bench_function(format!("ingest_and_spans_{domains}x63"), |b| {
             b.iter_batched(
-                SpanEstimator::new,
-                |mut est| {
-                    est.record_tickets(&sightings);
-                    est.domain_spans()
+                SpanAcc::exact,
+                |mut acc| {
+                    for s in &sightings {
+                        acc.record(&s.domain, &s.stek_id, s.day);
+                    }
+                    acc.domain_spans()
                 },
                 BatchSize::LargeInput,
             )
@@ -65,7 +66,13 @@ fn bench_group_inference(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(3));
     let sightings = synth_sightings(10_000, 7);
     g.bench_function("stek_groups_10k_domains", |b| {
-        b.iter(|| groups::stek_groups(&sightings))
+        b.iter(|| {
+            let mut acc = GroupAcc::exact();
+            for s in &sightings {
+                acc.record(&s.domain, &s.stek_id, s.day);
+            }
+            acc.service_groups()
+        })
     });
     g.finish();
 }

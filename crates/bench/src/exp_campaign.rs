@@ -77,7 +77,12 @@ pub struct CampaignStats {
     pub evicted_group_ids: u64,
 }
 
-/// Span analysis bundles for the campaign.
+/// Span analysis bundles for the campaign, one accumulator per mechanism.
+///
+/// `CampaignSpans::default()` is exact (never evicts); as a
+/// [`CampaignSink`] it folds a campaign's sightings straight into the
+/// three accumulators.
+#[derive(Debug, Clone, Default)]
 pub struct CampaignSpans {
     /// Per-domain STEK spans.
     pub stek: SpanAcc,
@@ -87,14 +92,58 @@ pub struct CampaignSpans {
     pub ecdhe: SpanAcc,
 }
 
+impl CampaignSpans {
+    fn with_horizon(horizon_days: Option<u64>) -> Self {
+        CampaignSpans {
+            stek: SpanAcc::with_horizon(horizon_days),
+            dhe: SpanAcc::with_horizon(horizon_days),
+            ecdhe: SpanAcc::with_horizon(horizon_days),
+        }
+    }
+
+    /// The accumulator for one key-exchange flavour.
+    fn kex_mut(&mut self, kex: KexKind) -> &mut SpanAcc {
+        match kex {
+            KexKind::Dhe => &mut self.dhe,
+            KexKind::Ecdhe => &mut self.ecdhe,
+        }
+    }
+
+    fn advance(&mut self, day: u64) {
+        self.stek.advance(day);
+        self.dhe.advance(day);
+        self.ecdhe.advance(day);
+    }
+
+    fn live_pairs(&self) -> usize {
+        self.stek.live_pairs() + self.dhe.live_pairs() + self.ecdhe.live_pairs()
+    }
+}
+
+impl CampaignSink for CampaignSpans {
+    fn ticket(&mut self, s: TicketSighting) {
+        self.stek.record(&s.domain, &s.stek_id, s.day);
+    }
+
+    fn kex(&mut self, s: KexSighting) {
+        self.kex_mut(s.kex).record(&s.domain, &s.value_fp, s.day);
+    }
+}
+
+impl Merge for CampaignSpans {
+    fn merge(&mut self, other: CampaignSpans) {
+        self.stek.merge(other.stek);
+        self.dhe.merge(other.dhe);
+        self.ecdhe.merge(other.ecdhe);
+    }
+}
+
 /// One shard's private campaign state: its slice of the population, its
 /// span accumulators, its hint tracker, and the current day's sighting
 /// batch awaiting the post-barrier drain into the global group trackers.
 struct ShardState {
     domains: Vec<String>,
-    stek: SpanAcc,
-    dhe: SpanAcc,
-    ecdhe: SpanAcc,
+    spans: CampaignSpans,
     /// domain → (last day seen, hint on that day); last observation wins,
     /// matching the old collect-then-fold hint pass.
     hints: BTreeMap<String, (u64, u32)>,
@@ -105,27 +154,20 @@ struct ShardState {
 
 impl ShardState {
     fn new(domains: Vec<String>) -> Self {
-        let horizon = Some(EVICTION_HORIZON_DAYS);
         ShardState {
             domains,
-            stek: SpanAcc::with_horizon(horizon),
-            dhe: SpanAcc::with_horizon(horizon),
-            ecdhe: SpanAcc::with_horizon(horizon),
+            spans: CampaignSpans::with_horizon(Some(EVICTION_HORIZON_DAYS)),
             hints: BTreeMap::new(),
             attempts: 0,
             day_tickets: Vec::new(),
             day_kex: Vec::new(),
         }
     }
-
-    fn live_entries(&self) -> usize {
-        self.stek.live_pairs() + self.dhe.live_pairs() + self.ecdhe.live_pairs()
-    }
 }
 
 impl CampaignSink for ShardState {
     fn ticket(&mut self, s: TicketSighting) {
-        self.stek.record(&s.domain, &s.stek_id, s.day);
+        self.spans.stek.record(&s.domain, &s.stek_id, s.day);
         let e = self
             .hints
             .entry(s.domain.clone())
@@ -137,10 +179,9 @@ impl CampaignSink for ShardState {
     }
 
     fn kex(&mut self, s: KexSighting) {
-        match s.kex {
-            KexKind::Dhe => self.dhe.record(&s.domain, &s.value_fp, s.day),
-            KexKind::Ecdhe => self.ecdhe.record(&s.domain, &s.value_fp, s.day),
-        }
+        self.spans
+            .kex_mut(s.kex)
+            .record(&s.domain, &s.value_fp, s.day);
         self.day_kex.push((s.domain, s.value_fp));
     }
 }
@@ -155,11 +196,11 @@ impl CampaignSink for ShardState {
 /// **Sharding.** The core is partitioned by [`ShardPlan`] — the exact
 /// chunk layout `parallel_map` derives from the domain count — so shard
 /// `s` on day `d` seeds its scanner `daily-campaign-{d}-{s}` exactly as
-/// the chunked collector did, and output is byte-identical at any worker
-/// count. Each shard folds its own sightings into [`SpanAcc`]s as they
-/// are produced; cross-shard structures (the STEK and DH group trackers)
-/// are global and fed after each day's barrier, draining every shard's
-/// bounded day batch in fixed shard order. Sharers present a shared
+/// the chunked collector did, whatever the worker count. Each shard
+/// folds its own sightings into [`SpanAcc`]s as they are produced;
+/// cross-shard structures (the STEK and DH group trackers) are global
+/// and fed after each day's barrier, draining every shard's bounded day
+/// batch in fixed shard order. Sharers present a shared
 /// identifier on the same day, so union edges always form before the
 /// horizon can evict either endpoint.
 ///
@@ -168,9 +209,15 @@ impl CampaignSink for ShardState {
 /// shared STEK managers only moves forward, so letting one worker race
 /// ahead to day 40 while another still scans day 2 would freeze rotation
 /// state for every domain sharing a manager across a shard boundary and
-/// corrupt the span estimates. Within a day all grabs carry the same
-/// timestamps, making the shared-state ticks idempotent and the result
-/// deterministic.
+/// corrupt the span estimates. Within a day the three grabs per domain
+/// run at +0, +1 and +2 minutes after the scan time, so grabs on
+/// different shards do *not* all carry the same timestamp: when two
+/// shards' domains share a [`StekManager`](ts_tls::ticket::StekManager)
+/// and a rotation boundary falls inside those two minutes, one shard's
+/// later grab can rotate the manager before another shard's earlier
+/// grab, which then sees the new STEK. At `workers = 1` shards run in
+/// shard order and the output is reproducible; at higher worker counts
+/// the STEK group tracker can differ by such a sighting (see ROADMAP.md).
 pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     let pop = ctx.fresh_pop();
     let days = ctx.config.study_days;
@@ -206,13 +253,11 @@ pub fn run_daily_campaign(ctx: &Context) -> Campaign {
             for (domain, fp) in state.day_kex.drain(..) {
                 dh_group_acc.record(&domain, &fp, day);
             }
-            state.stek.advance(day);
-            state.dhe.advance(day);
-            state.ecdhe.advance(day);
+            state.spans.advance(day);
         }
         stek_group_acc.advance(day);
         dh_group_acc.advance(day);
-        let live: usize = states.iter().map(ShardState::live_entries).sum::<usize>()
+        let live: usize = states.iter().map(|s| s.spans.live_pairs()).sum::<usize>()
             + stek_group_acc.live_ids()
             + dh_group_acc.live_ids();
         peak_live_entries = peak_live_entries.max(live);
@@ -221,16 +266,12 @@ pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     // Seal: merge shard accumulators in fixed shard order. Shards own
     // disjoint domains, so the span merge is a disjoint union and the
     // hint maps never collide.
-    let mut stek = SpanAcc::with_horizon(horizon);
-    let mut dhe = SpanAcc::with_horizon(horizon);
-    let mut ecdhe = SpanAcc::with_horizon(horizon);
+    let mut spans = CampaignSpans::with_horizon(horizon);
     let mut hints = BTreeMap::new();
     let mut attempts = 0u64;
     let domain_count = domains.len();
     for state in states {
-        stek.merge(state.stek);
-        dhe.merge(state.dhe);
-        ecdhe.merge(state.ecdhe);
+        spans.merge(state.spans);
         for (domain, (_day, hint)) in state.hints {
             hints.insert(domain, hint);
         }
@@ -238,7 +279,7 @@ pub fn run_daily_campaign(ctx: &Context) -> Campaign {
     }
     let evicted_group_ids = stek_group_acc.evicted_ids() + dh_group_acc.evicted_ids();
     Campaign {
-        spans: CampaignSpans { stek, dhe, ecdhe },
+        spans,
         stek_groups: stek_group_acc.service_groups(),
         dh_groups: dh_group_acc.service_groups(),
         hints,

@@ -6,8 +6,7 @@ use ts_core::groups::{stats, top_groups, ServiceGroup};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
 use ts_core::treemap::{build_cells, red_cells, LongevityBucket};
 use ts_scanner::crossdomain::{
-    build_targets, dh_sharing_scan_streaming, session_cache_scan_streaming,
-    stek_sharing_scan_streaming,
+    build_targets, dh_sharing_scan, session_cache_scan_streaming, stek_sharing_scan,
 };
 use ts_scanner::Scanner;
 
@@ -110,7 +109,7 @@ pub fn table6_stek_groups(ctx: &Context) -> SharingResult {
             parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(&pop, &format!("t6-{k}-{chunk_id}"));
                 let mut s = Vec::new();
-                stek_sharing_scan_streaming(&mut scanner, chunk, at, 0, 1, 0, |x| s.push(x));
+                stek_sharing_scan(&mut scanner, chunk, at, 0, 1, 0, |x| s.push(x));
                 s
             });
         for s in step {
@@ -143,7 +142,7 @@ pub fn table7_dh_groups(ctx: &Context) -> SharingResult {
             parallel_map(&targets, crate::default_workers(), |chunk_id, chunk| {
                 let mut scanner = Scanner::new(&pop, &format!("t7-{k}-{chunk_id}"));
                 let mut s = Vec::new();
-                dh_sharing_scan_streaming(&mut scanner, chunk, at, 0, 1, |x| s.push(x));
+                dh_sharing_scan(&mut scanner, chunk, at, 0, 1, |x| s.push(x));
                 s
             });
         for s in step {

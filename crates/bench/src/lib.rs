@@ -7,9 +7,10 @@
 //! columns.
 //!
 //! The heavyweight scans (daily campaign, burst scans, probes) fan out
-//! across threads with crossbeam; results are deterministic for a fixed
-//! (seed, size, worker-partitioning) triple because every worker derives
-//! its DRBG from its chunk index.
+//! across scoped threads ([`ts_core::par`]); results are deterministic
+//! for a fixed (seed, size) pair at any worker count because every worker
+//! derives its DRBG from its chunk index, and the chunk layout depends
+//! only on the item count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

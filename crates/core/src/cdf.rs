@@ -1,62 +1,104 @@
 //! Empirical CDFs for the paper's figures.
 
-/// An empirical cumulative distribution over `u64` samples.
-#[derive(Debug, Clone, Default)]
+use crate::stream::Merge;
+use std::collections::BTreeMap;
+
+/// An exact empirical cumulative distribution over `u64` samples, stored
+/// as value→count.
+///
+/// Memory is O(distinct values) rather than O(samples): campaign samples
+/// (spans in days, windows in seconds at day granularity) repeat heavily.
+/// Fractions are an integer count over the total and quantiles are
+/// nearest-rank, so results do not depend on insertion order or on how
+/// samples were split across merged shards.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cdf {
-    sorted: Vec<u64>,
+    counts: BTreeMap<u64, u64>,
+    total: u64,
 }
 
 impl Cdf {
+    /// Empty distribution.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Build from samples (any order).
-    pub fn from_samples(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        Cdf { sorted: samples }
+    pub fn from_samples(samples: impl IntoIterator<Item = u64>) -> Self {
+        let mut c = Self::new();
+        for s in samples {
+            c.add(s);
+        }
+        c
+    }
+
+    /// Add one sample.
+    pub fn add(&mut self, value: u64) {
+        self.add_n(value, 1);
+    }
+
+    /// Add `n` samples of `value`.
+    pub fn add_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        *self.counts.entry(value).or_insert(0) += n;
+        self.total += n;
     }
 
     /// Sample count.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.total as usize
     }
 
     /// True if no samples.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.total == 0
+    }
+
+    /// Count of samples ≤ `x`.
+    pub fn count_le(&self, x: u64) -> usize {
+        self.counts.range(..=x).map(|(_, c)| *c as usize).sum()
     }
 
     /// Fraction of samples ≤ `x` (the CDF value). 0.0 for empty.
     pub fn fraction_le(&self, x: u64) -> f64 {
-        if self.sorted.is_empty() {
+        if self.total == 0 {
             return 0.0;
         }
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
+        self.count_le(x) as f64 / self.total as f64
     }
 
     /// Fraction of samples ≥ `x` (the survival function at x).
     pub fn fraction_ge(&self, x: u64) -> f64 {
-        if self.sorted.is_empty() {
+        if self.total == 0 {
             return 0.0;
         }
-        let below = self.sorted.partition_point(|&v| v < x);
-        (self.sorted.len() - below) as f64 / self.sorted.len() as f64
+        self.count_ge(x) as f64 / self.total as f64
     }
 
     /// Count of samples ≥ `x`.
     pub fn count_ge(&self, x: u64) -> usize {
-        let below = self.sorted.partition_point(|&v| v < x);
-        self.sorted.len() - below
+        self.counts.range(x..).map(|(_, c)| *c as usize).sum()
     }
 
     /// Quantile (0.0..=1.0) by nearest-rank. None if empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.sorted.is_empty() {
+        if self.total == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.sorted.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.sorted.len() - 1);
-        Some(self.sorted[idx])
+        let rank = ((q * self.total as f64).ceil() as u64)
+            .max(1)
+            .min(self.total);
+        let mut cumulative = 0;
+        for (&value, &count) in &self.counts {
+            cumulative += count;
+            if cumulative >= rank {
+                return Some(value);
+            }
+        }
+        unreachable!("rank <= total")
     }
 
     /// Median by nearest rank.
@@ -75,12 +117,20 @@ impl Cdf {
 
     /// Minimum sample.
     pub fn min(&self) -> Option<u64> {
-        self.sorted.first().copied()
+        self.counts.keys().next().copied()
     }
 
     /// Maximum sample.
     pub fn max(&self) -> Option<u64> {
-        self.sorted.last().copied()
+        self.counts.keys().next_back().copied()
+    }
+}
+
+impl Merge for Cdf {
+    fn merge(&mut self, other: Cdf) {
+        for (value, count) in other.counts {
+            self.add_n(value, count);
+        }
     }
 }
 
@@ -99,6 +149,8 @@ mod tests {
         assert!((c.fraction_ge(2) - 0.8).abs() < 1e-12);
         assert!((c.fraction_ge(11) - 0.0).abs() < 1e-12);
         assert_eq!(c.count_ge(3), 2);
+        assert_eq!(c.count_le(2), 3);
+        assert_eq!((c.min(), c.max()), (Some(1), Some(10)));
     }
 
     #[test]
@@ -111,12 +163,18 @@ mod tests {
         assert_eq!(c.quantile(0.21), Some(20));
         let even = Cdf::from_samples(vec![1, 2, 3, 4]);
         assert_eq!(even.median(), Some(2), "nearest rank");
+        // Repeated values: rank 5 of 10 lands inside the run of 7s.
+        let repeats = Cdf::from_samples(vec![1u64, 2, 2, 3, 10, 0, 7, 7, 7, 100]);
+        assert_eq!(repeats.median(), Some(3));
+        assert_eq!(repeats.quantile(0.75), Some(7));
+        assert_eq!(repeats.quantile(0.9), Some(10));
     }
 
     #[test]
     fn empty_cdf_behaviour() {
         let c = Cdf::from_samples(vec![]);
         assert!(c.is_empty());
+        assert_eq!(c, Cdf::new());
         assert_eq!(c.fraction_le(5), 0.0);
         assert_eq!(c.fraction_ge(5), 0.0);
         assert_eq!(c.median(), None);
@@ -143,5 +201,16 @@ mod tests {
             let ge_next = c.fraction_ge(x + 1);
             assert!((gt - ge_next).abs() < 1e-12, "x={x}");
         }
+    }
+
+    #[test]
+    fn merge_is_addition() {
+        let mut a = Cdf::from_samples([1, 2, 3]);
+        let b = Cdf::from_samples([3, 4]);
+        a.merge(b);
+        assert_eq!(a.len(), 5);
+        assert_eq!(a.count_ge(3), 3);
+        assert_eq!(a.median(), Some(3));
+        assert_eq!(a, Cdf::from_samples([4, 3, 3, 2, 1]));
     }
 }

@@ -113,12 +113,7 @@ impl ExposureTable {
 
     /// The combined-exposure CDF over all recorded domains (Figure 8).
     pub fn combined_cdf(&self) -> Cdf {
-        Cdf::from_samples(
-            self.domains
-                .values()
-                .filter_map(|e| e.max_window())
-                .collect(),
-        )
+        Cdf::from_samples(self.domains.values().filter_map(|e| e.max_window()))
     }
 
     /// Fractions exceeding the paper's headline thresholds:

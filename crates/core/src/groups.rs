@@ -7,12 +7,14 @@
 //! * **cross-domain resumption** — session IDs from one domain accepted by
 //!   another, closed transitively.
 //!
+//! The first two stream through [`GroupAcc`](crate::stream::GroupAcc);
+//! resumption edges go through [`groups_from_edges`].
+//!
 //! Groups are labelled by the longest common domain-name prefix of their
 //! members (standing in for the paper's manual operator identification).
 
-use crate::observations::{KexSighting, SharingEdge, TicketSighting};
+use crate::observations::SharingEdge;
 use crate::unionfind::DisjointSets;
-use std::collections::HashMap;
 
 /// A service group: domains sharing server-side TLS secret state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,49 +60,6 @@ pub fn groups_from_edges<'a>(
         ds.union(&e.a, &e.b);
     }
     finalize_groups(ds.groups())
-}
-
-/// Build groups from shared identifiers: any two domains that ever
-/// presented the same id belong together (the STEK experiment, §5.2).
-pub fn groups_from_shared_ids<'a>(
-    pairs: impl IntoIterator<Item = (&'a str, &'a str)>, // (domain, id)
-) -> Vec<ServiceGroup> {
-    let mut ds = DisjointSets::new();
-    // Lookup-only hash map (get/insert, never iterated): group membership
-    // comes out of `ds.groups()`, which sorts, so hash order never escapes.
-    let mut first_holder: HashMap<String, String> = HashMap::new();
-    for (domain, id) in pairs {
-        ds.add(domain);
-        match first_holder.get(id) {
-            Some(holder) => {
-                let holder = holder.clone();
-                ds.union(&holder, domain);
-            }
-            None => {
-                first_holder.insert(id.to_string(), domain.to_string());
-            }
-        }
-    }
-    finalize_groups(ds.groups())
-}
-
-/// STEK service groups from ticket sightings.
-pub fn stek_groups(sightings: &[TicketSighting]) -> Vec<ServiceGroup> {
-    groups_from_shared_ids(
-        sightings
-            .iter()
-            .map(|s| (s.domain.as_str(), s.stek_id.as_str())),
-    )
-}
-
-/// Diffie-Hellman service groups from key-exchange sightings (both
-/// flavours; the paper groups them together in Table 7).
-pub fn dh_groups(sightings: &[KexSighting]) -> Vec<ServiceGroup> {
-    groups_from_shared_ids(
-        sightings
-            .iter()
-            .map(|s| (s.domain.as_str(), s.value_fp.as_str())),
-    )
 }
 
 /// Label and order raw member sets into [`ServiceGroup`]s. Input sets
@@ -179,27 +138,26 @@ pub fn top_groups(groups: &[ServiceGroup], k: usize) -> Vec<(String, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observations::{KexKind, SharingKind};
+    use crate::observations::SharingKind;
+    use crate::stream::GroupAcc;
 
-    fn sighting(domain: &str, id: &str) -> TicketSighting {
-        TicketSighting {
-            domain: domain.into(),
-            day: 0,
-            stek_id: id.into(),
-            lifetime_hint: 0,
+    fn shared_id_groups(pairs: &[(&str, &str)]) -> Vec<ServiceGroup> {
+        let mut acc = GroupAcc::exact();
+        for &(domain, id) in pairs {
+            acc.record(domain, id, 0);
         }
+        acc.service_groups()
     }
 
     #[test]
     fn shared_id_grouping() {
-        let sightings = vec![
-            sighting("cdn-a.sim", "key1"),
-            sighting("cdn-b.sim", "key1"),
-            sighting("cdn-c.sim", "key2"),
-            sighting("cdn-b.sim", "key2"), // b bridges key1 and key2
-            sighting("lonely.sim", "key9"),
-        ];
-        let groups = stek_groups(&sightings);
+        let groups = shared_id_groups(&[
+            ("cdn-a.sim", "key1"),
+            ("cdn-b.sim", "key1"),
+            ("cdn-c.sim", "key2"),
+            ("cdn-b.sim", "key2"), // b bridges key1 and key2
+            ("lonely.sim", "key9"),
+        ]);
         assert_eq!(groups[0].size(), 3, "transitive closure via b");
         assert_eq!(groups[1].size(), 1);
         let s = stats(&groups);
@@ -211,12 +169,11 @@ mod tests {
 
     #[test]
     fn same_domain_many_ids_stays_one_group() {
-        let sightings = vec![
-            sighting("rotator.sim", "k1"),
-            sighting("rotator.sim", "k2"),
-            sighting("rotator.sim", "k3"),
-        ];
-        let groups = stek_groups(&sightings);
+        let groups = shared_id_groups(&[
+            ("rotator.sim", "k1"),
+            ("rotator.sim", "k2"),
+            ("rotator.sim", "k3"),
+        ]);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].size(), 1);
     }
@@ -241,26 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn dh_grouping_mixes_flavours() {
-        let sightings = vec![
-            KexSighting {
-                domain: "x.sim".into(),
-                day: 0,
-                kex: KexKind::Dhe,
-                value_fp: "v".into(),
-            },
-            KexSighting {
-                domain: "y.sim".into(),
-                day: 1,
-                kex: KexKind::Ecdhe,
-                value_fp: "v".into(),
-            },
-        ];
-        let groups = dh_groups(&sightings);
-        assert_eq!(groups[0].size(), 2);
-    }
-
-    #[test]
     fn label_inference() {
         assert_eq!(
             infer_label(&vec![
@@ -280,15 +217,14 @@ mod tests {
 
     #[test]
     fn top_groups_shape() {
-        let sightings = vec![
-            sighting("big-1.sim", "k"),
-            sighting("big-2.sim", "k"),
-            sighting("big-3.sim", "k"),
-            sighting("duo-1.sim", "j"),
-            sighting("duo-2.sim", "j"),
-            sighting("solo.sim", "z"),
-        ];
-        let groups = stek_groups(&sightings);
+        let groups = shared_id_groups(&[
+            ("big-1.sim", "k"),
+            ("big-2.sim", "k"),
+            ("big-3.sim", "k"),
+            ("duo-1.sim", "j"),
+            ("duo-2.sim", "j"),
+            ("solo.sim", "z"),
+        ]);
         let top = top_groups(&groups, 2);
         assert_eq!(top[0].1, 3);
         assert_eq!(top[1].1, 2);

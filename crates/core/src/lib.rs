@@ -8,15 +8,15 @@
 //! * [`json`] — dependency-free JSON tree for archiving observations
 //! * [`par`] — deterministic chunked fan-out (`parallel_map`)
 //! * [`unionfind`] — disjoint sets for transitive service-group closure
-//! * [`lifetime`] — first/last-seen span estimation for STEKs and
-//!   key-exchange values (§4.3's jitter-tolerant estimator)
 //! * [`cdf`] — empirical CDFs for Figures 1, 2, 3, 5, 8
 //! * [`groups`] — service groups from shared STEK ids, shared DH values,
 //!   and cross-domain resumption edges (§5, Tables 5–7)
 //! * [`exposure`] — per-domain *vulnerability windows* and the combined
 //!   maximum-exposure distribution (§6, Figure 8)
 //! * [`stream`] — streaming, mergeable accumulators for sharded
-//!   campaigns (spans, CDFs, groups, top-k) with an explicit merge law
+//!   campaigns with an explicit merge law: first/last-seen span estimation
+//!   for STEKs and key-exchange values (§4.3's jitter-tolerant
+//!   estimator), per-tier CDFs, shared-identifier service groups, top-k
 //! * [`tiers`] — rank-tier breakdowns (Figure 4)
 //! * [`treemap`] — size × longevity summaries standing in for the paper's
 //!   treemap visualizations (Figures 6, 7)
@@ -33,7 +33,6 @@ pub mod exposure;
 pub mod groups;
 pub mod interleave;
 pub mod json;
-pub mod lifetime;
 pub mod observations;
 pub mod par;
 pub mod report;
@@ -44,7 +43,6 @@ pub mod unionfind;
 
 pub use cdf::Cdf;
 pub use exposure::{DomainExposure, ExposureKind};
-pub use lifetime::SpanEstimator;
 pub use observations::{KexKind, KexSighting, ResumptionProbe, TicketSighting};
-pub use stream::{CountCdf, GroupAcc, Merge, SpanAcc, TierAcc, TopK};
+pub use stream::{GroupAcc, Merge, SpanAcc, TierAcc, TopK};
 pub use unionfind::DisjointSets;

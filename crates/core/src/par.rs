@@ -77,12 +77,12 @@ pub fn for_each_shard<S: Send>(states: &mut [S], workers: usize, f: impl Fn(usiz
     let workers = workers.max(1).min(states.len());
     let cells: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
             let f = &f;
             let next = &next;
             let cells = &cells;
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cell) = cells.get(i) else {
                     break;
@@ -91,8 +91,7 @@ pub fn for_each_shard<S: Send>(states: &mut [S], workers: usize, f: impl Fn(usiz
                 f(i, &mut state);
             });
         }
-    })
-    .expect("scope");
+    });
 }
 
 /// Worker-count override (0 = use [`available_parallelism`]), settable once
@@ -119,13 +118,13 @@ pub fn parallel_map<T: Sync, R: Send>(
     let workers = workers.max(1).min(chunks.len());
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
             let f = &f;
             let next = &next;
             let done = &done;
             let chunks = &chunks;
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(id, chunk)) = chunks.get(i) else {
                     break;
@@ -134,8 +133,7 @@ pub fn parallel_map<T: Sync, R: Send>(
                 done.lock().expect("result sink").push((id, result));
             });
         }
-    })
-    .expect("scope");
+    });
     let mut out = done.into_inner().expect("result sink");
     out.sort_by_key(|(id, _)| *id);
     out.into_iter().flat_map(|(_, v)| v).collect()

@@ -1,33 +1,27 @@
 //! Streaming, mergeable accumulators for sharded campaigns.
 //!
-//! The collect-then-sort pipeline (`Vec<TicketSighting>` → sort → group)
-//! holds every observation of a nine-week campaign in memory at once —
-//! O(domain-days), which is what caps `repro` near `--size 20000`. The
-//! types here replace it with bounded state:
+//! A collect-then-sort pipeline (`Vec<TicketSighting>` → sort → group)
+//! would hold every observation of a nine-week campaign in memory at once
+//! — O(domain-days). The types here keep bounded state instead:
 //!
-//! * [`SpanAcc`] — the streaming [`SpanEstimator`]: live (domain, id)
-//!   ranges plus per-domain closed aggregates, with an optional eviction
-//!   horizon that retires pairs not sighted for `h` days;
-//! * [`CountCdf`] — an exact CDF over value→count entries instead of a
-//!   sorted sample vector (campaign values repeat heavily: day counts,
-//!   window seconds);
-//! * [`TierAcc`] — the streaming tier-CDF builder behind Figure 4;
+//! * [`SpanAcc`] — the paper's first/last-seen span estimator: live
+//!   (domain, id) ranges plus per-domain closed aggregates, with an
+//!   optional eviction horizon that retires pairs not sighted for `h` days;
+//! * [`TierAcc`] — the streaming tier-CDF builder behind Figure 4, one
+//!   value→count [`Cdf`] per tier;
 //! * [`GroupAcc`] — incremental union-find over (domain, shared-id)
 //!   sightings, storing no edge list;
 //! * [`TopK`] — bounded top-k selection for the notable-reuser tables.
 //!
-//! Every accumulator implements [`Merge`] with the law that drives the
-//! sharded campaign: feeding a stream through one accumulator, or
-//! splitting it across several and merging them (in any order, any
+//! Every accumulator (and [`Cdf`]) implements [`Merge`] with the law that
+//! drives the sharded campaign: feeding a stream through one accumulator,
+//! or splitting it across several and merging them (in any order, any
 //! grouping), yields the same analysis results. Eviction keeps the law on
 //! *domain-partitioned* splits — per-domain state never straddles two
 //! accumulators, so retiring a pair locally is the same as retiring it
 //! globally.
-//!
-//! [`SpanEstimator`]: crate::lifetime::SpanEstimator
 
 use crate::cdf::Cdf;
-use crate::lifetime::DomainSpans;
 use crate::tiers::Tier;
 use std::collections::{BTreeMap, HashMap};
 
@@ -90,6 +84,17 @@ impl DaySet {
     }
 }
 
+/// Span statistics for one domain.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DomainSpans {
+    /// Longest identifier span, in days (first-to-last inclusive).
+    pub max_span_days: u64,
+    /// Number of distinct identifiers sighted.
+    pub distinct_ids: usize,
+    /// Number of days with at least one sighting.
+    pub days_seen: usize,
+}
+
 /// Per-domain aggregate of pairs already retired by the horizon.
 #[derive(Debug, Clone, Default)]
 struct DomainAgg {
@@ -98,15 +103,21 @@ struct DomainAgg {
     days: DaySet,
 }
 
-/// Streaming first/last-seen span estimation — the mergeable form of
-/// [`SpanEstimator`](crate::lifetime::SpanEstimator).
+/// First/last-seen span estimation (§4.3, §4.4).
 ///
-/// With `horizon_days = None` the accumulator is exact and its queries
-/// match `SpanEstimator` on the same stream. With `Some(h)`, a live
-/// (domain, id) pair whose last sighting is more than `h` days behind the
-/// watermark is folded into a per-domain aggregate (its span is final);
-/// peak live state is then O(domains + pairs inside the horizon) instead
-/// of O(all pairs ever). The horizon contract: an identifier that has
+/// The paper's estimator: a (domain, identifier) pair's lifetime is the
+/// span between the first and last day the pair was sighted, *inclusive*.
+/// Intermediate days with a different identifier are attributed to scan
+/// jitter (A-record selection, load-balancer affinity, missed
+/// connections), because static keys don't flip back and forth and random
+/// identifiers don't collide.
+///
+/// With `horizon_days = None` the accumulator is exact: every pair stays
+/// individually addressable. With `Some(h)`, a live (domain, id) pair
+/// whose last sighting is more than `h` days behind the watermark is
+/// folded into a per-domain aggregate (its span is final); peak live
+/// state is then O(domains + pairs inside the horizon) instead of O(all
+/// pairs ever). The horizon contract: an identifier that has
 /// been absent for `h` days never reappears — true of the simulation
 /// (STEK managers do not resurrect retired keys; reuse windows are
 /// contiguous) and of any reasonable server implementation.
@@ -123,8 +134,7 @@ pub struct SpanAcc {
 }
 
 impl SpanAcc {
-    /// Exact accumulator (never evicts) — query-equivalent to
-    /// `SpanEstimator`.
+    /// Exact accumulator (never evicts).
     pub fn exact() -> Self {
         Self::with_horizon(None)
     }
@@ -186,9 +196,7 @@ impl SpanAcc {
         }
     }
 
-    /// Per-domain span statistics, keyed in domain order — the
-    /// [`SpanEstimator::domain_spans`](crate::lifetime::SpanEstimator::domain_spans)
-    /// shape.
+    /// Per-domain span statistics, keyed in domain order.
     pub fn domain_spans(&self) -> BTreeMap<String, DomainSpans> {
         let mut out: BTreeMap<String, DomainSpans> = self
             .domains
@@ -297,150 +305,12 @@ impl Merge for SpanAcc {
     }
 }
 
-/// An exact empirical CDF stored as value→count — the mergeable,
-/// bounded-memory form of [`Cdf`].
-///
-/// Query semantics match `Cdf` exactly (including nearest-rank
-/// quantiles); memory is O(distinct values) instead of O(samples), and
-/// campaign samples (spans in days, windows in seconds at day
-/// granularity) repeat heavily.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CountCdf {
-    counts: BTreeMap<u64, u64>,
-    total: u64,
-}
-
-impl CountCdf {
-    /// Empty distribution.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from samples (any order).
-    pub fn from_samples(samples: impl IntoIterator<Item = u64>) -> Self {
-        let mut c = Self::new();
-        for s in samples {
-            c.add(s);
-        }
-        c
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, value: u64) {
-        self.add_n(value, 1);
-    }
-
-    /// Add `n` samples of `value`.
-    pub fn add_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.counts.entry(value).or_insert(0) += n;
-        self.total += n;
-    }
-
-    /// Sample count.
-    pub fn len(&self) -> usize {
-        self.total as usize
-    }
-
-    /// True if no samples.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Count of samples ≤ `x`.
-    pub fn count_le(&self, x: u64) -> usize {
-        self.counts.range(..=x).map(|(_, c)| *c as usize).sum()
-    }
-
-    /// Fraction of samples ≤ `x` (the CDF value). 0.0 for empty.
-    pub fn fraction_le(&self, x: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.count_le(x) as f64 / self.total as f64
-    }
-
-    /// Fraction of samples ≥ `x` (the survival function at x).
-    pub fn fraction_ge(&self, x: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.count_ge(x) as f64 / self.total as f64
-    }
-
-    /// Count of samples ≥ `x`.
-    pub fn count_ge(&self, x: u64) -> usize {
-        self.counts.range(x..).map(|(_, c)| *c as usize).sum()
-    }
-
-    /// Quantile (0.0..=1.0) by nearest-rank. None if empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64)
-            .max(1)
-            .min(self.total);
-        let mut cumulative = 0;
-        for (&value, &count) in &self.counts {
-            cumulative += count;
-            if cumulative >= rank {
-                return Some(value);
-            }
-        }
-        unreachable!("rank <= total")
-    }
-
-    /// Median by nearest rank.
-    pub fn median(&self) -> Option<u64> {
-        self.quantile(0.5)
-    }
-
-    /// The CDF evaluated at each breakpoint: `(x, fraction ≤ x)` rows.
-    pub fn series(&self, breakpoints: &[u64]) -> Vec<(u64, f64)> {
-        breakpoints
-            .iter()
-            .map(|&x| (x, self.fraction_le(x)))
-            .collect()
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> Option<u64> {
-        self.counts.keys().next().copied()
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> Option<u64> {
-        self.counts.keys().next_back().copied()
-    }
-
-    /// Materialize as a sorted-sample [`Cdf`] (tests, small outputs).
-    pub fn to_cdf(&self) -> Cdf {
-        let mut samples = Vec::with_capacity(self.total as usize);
-        for (&value, &count) in &self.counts {
-            samples.extend(std::iter::repeat(value).take(count as usize));
-        }
-        Cdf::from_samples(samples)
-    }
-}
-
-impl Merge for CountCdf {
-    fn merge(&mut self, other: CountCdf) {
-        for (value, count) in other.counts {
-            self.add_n(value, count);
-        }
-    }
-}
-
 /// Streaming tier-CDF builder (Figure 4): records (rank, value) pairs
 /// into the cumulative rank tiers without materializing the sample list.
 #[derive(Debug, Clone)]
 pub struct TierAcc {
     tiers: Vec<Tier>,
-    cdfs: Vec<CountCdf>,
+    cdfs: Vec<Cdf>,
 }
 
 impl TierAcc {
@@ -449,7 +319,7 @@ impl TierAcc {
     pub fn new(tiers: &[Tier]) -> Self {
         TierAcc {
             tiers: tiers.to_vec(),
-            cdfs: vec![CountCdf::new(); tiers.len()],
+            cdfs: vec![Cdf::new(); tiers.len()],
         }
     }
 
@@ -463,9 +333,8 @@ impl TierAcc {
         }
     }
 
-    /// Per-tier CDFs in tier order — the
-    /// [`tier_cdfs`](crate::tiers::tier_cdfs) shape.
-    pub fn cdfs(&self) -> BTreeMap<&'static str, CountCdf> {
+    /// Per-tier CDFs keyed by tier label.
+    pub fn cdfs(&self) -> BTreeMap<&'static str, Cdf> {
         self.tiers
             .iter()
             .zip(&self.cdfs)
@@ -492,17 +361,17 @@ impl Merge for TierAcc {
     }
 }
 
-/// Streaming service-group construction — the mergeable form of
-/// [`groups_from_shared_ids`](crate::groups::groups_from_shared_ids).
+/// Service groups from shared identifiers (§5.2, §5.3): any two domains
+/// that ever presented the same id (STEK key name, DH value) belong
+/// together, closed transitively.
 ///
 /// Holds an *incremental* union-find (no edge list, unlike
 /// [`DisjointSets`](crate::unionfind::DisjointSets)) plus one
 /// first-holder entry per live identifier, so memory is O(domains + ids
-/// inside the horizon) rather than O(sightings). Fed the same stream in
-/// the same order, `groups()` equals the batch constructor's output
-/// exactly: names are interned in first-appearance order, the partition
-/// is closed over the same (first-holder, domain) edges, and sets are
-/// ordered by (size desc, min member index) before labelling.
+/// inside the horizon) rather than O(sightings). Names are interned in
+/// first-appearance order, each sighting unions its domain with the id's
+/// first holder, and sets are ordered by (size desc, min member index)
+/// before labelling.
 #[derive(Debug, Clone, Default)]
 pub struct GroupAcc {
     horizon_days: Option<u64>,
@@ -641,9 +510,8 @@ impl GroupAcc {
             .collect()
     }
 
-    /// Labelled, ordered service groups — equals
-    /// [`groups_from_shared_ids`](crate::groups::groups_from_shared_ids)
-    /// on the same stream.
+    /// Labelled, ordered service groups (see
+    /// [`finalize_groups`](crate::groups::finalize_groups)).
     pub fn service_groups(&mut self) -> Vec<crate::groups::ServiceGroup> {
         crate::groups::finalize_groups(self.groups())
     }
@@ -781,8 +649,6 @@ impl Merge for TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::groups_from_shared_ids;
-    use crate::lifetime::SpanEstimator;
 
     #[test]
     fn fp128_distinguishes_and_is_stable() {
@@ -792,31 +658,96 @@ mod tests {
     }
 
     #[test]
-    fn span_acc_matches_estimator_exact() {
-        let stream = [
-            ("a.sim", "k1", 0u64),
-            ("a.sim", "other", 5),
-            ("a.sim", "k1", 10),
-            ("b.sim", "k1", 3),
-            ("daily.sim", "d0", 0),
-            ("daily.sim", "d1", 1),
-            ("daily.sim", "d2", 2),
-        ];
-        let mut est = SpanEstimator::new();
-        let mut acc = SpanAcc::exact();
-        for (d, id, day) in stream {
-            est.record(d, id, day);
-            acc.record(d, id, day);
-            acc.advance(day);
+    fn span_single_day_is_one() {
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "k1", 5);
+        assert_eq!(e.span_of("a.sim", "k1"), Some(1));
+        let spans = e.domain_spans();
+        assert_eq!(spans["a.sim"].max_span_days, 1);
+        assert_eq!(spans["a.sim"].distinct_ids, 1);
+    }
+
+    #[test]
+    fn span_first_to_last_inclusive() {
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "k1", 0);
+        e.record("a.sim", "k1", 62);
+        assert_eq!(e.span_of("a.sim", "k1"), Some(63), "whole study");
+    }
+
+    #[test]
+    fn span_jitter_days_bridged() {
+        // The paper's key property: an intermediate sighting of a
+        // different id (load-balancer jitter) does not split the span.
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "k1", 0);
+        e.record("a.sim", "other", 5);
+        e.record("a.sim", "k1", 10);
+        assert_eq!(e.span_of("a.sim", "k1"), Some(11));
+        let spans = e.domain_spans();
+        assert_eq!(spans["a.sim"].max_span_days, 11);
+        assert_eq!(spans["a.sim"].distinct_ids, 2);
+        assert_eq!(spans["a.sim"].days_seen, 3);
+    }
+
+    #[test]
+    fn span_missed_scan_days_bridged() {
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "k1", 0);
+        // days 1-6 missed entirely (server unresponsive)
+        e.record("a.sim", "k1", 7);
+        assert_eq!(e.span_of("a.sim", "k1"), Some(8));
+    }
+
+    #[test]
+    fn span_per_domain_max_over_multiple_ids() {
+        let mut e = SpanAcc::exact();
+        // Rotating daily: spans of 1 each.
+        for day in 0..10 {
+            e.record("daily.sim", &format!("key{day}"), day);
         }
-        assert_eq!(est.domain_spans(), acc.domain_spans());
-        assert_eq!(est.max_spans(), acc.max_spans());
+        // One long key.
+        e.record("static.sim", "k", 0);
+        e.record("static.sim", "k", 29);
+        let spans = e.domain_spans();
+        assert_eq!(spans["daily.sim"].max_span_days, 1);
+        assert_eq!(spans["daily.sim"].distinct_ids, 10);
+        assert_eq!(spans["static.sim"].max_span_days, 30);
+        assert_eq!(e.max_spans(), vec![1, 30], "domain order");
+    }
+
+    #[test]
+    fn span_domains_with_span_at_least_sorted() {
+        let mut e = SpanAcc::exact();
+        e.record("long.sim", "k", 0);
+        e.record("long.sim", "k", 62);
+        e.record("mid.sim", "k", 0);
+        e.record("mid.sim", "k", 9);
+        e.record("mid2.sim", "k", 3);
+        e.record("mid2.sim", "k", 12);
+        e.record("short.sim", "k", 0);
+        let v = e.domains_with_span_at_least(7);
         assert_eq!(
-            est.domains_with_span_at_least(2),
-            acc.domains_with_span_at_least(2)
+            v,
+            vec![
+                ("long.sim".to_string(), 63),
+                ("mid.sim".to_string(), 10),
+                ("mid2.sim".to_string(), 10)
+            ],
+            "span descending, then name"
         );
-        assert_eq!(est.pair_count(), acc.pair_count());
-        assert_eq!(est.span_of("a.sim", "k1"), acc.span_of("a.sim", "k1"));
+        assert_eq!(e.domains_with_span_at_least(64), vec![]);
+    }
+
+    #[test]
+    fn span_same_id_different_domains_tracked_separately() {
+        let mut e = SpanAcc::exact();
+        e.record("a.sim", "shared", 0);
+        e.record("a.sim", "shared", 5);
+        e.record("b.sim", "shared", 3);
+        assert_eq!(e.span_of("a.sim", "shared"), Some(6));
+        assert_eq!(e.span_of("b.sim", "shared"), Some(1));
+        assert_eq!(e.pair_count(), 2);
     }
 
     #[test]
@@ -874,55 +805,30 @@ mod tests {
     }
 
     #[test]
-    fn count_cdf_matches_cdf_queries() {
-        let samples = vec![1u64, 2, 2, 3, 10, 0, 7, 7, 7, 100];
-        let cdf = Cdf::from_samples(samples.clone());
-        let counted = CountCdf::from_samples(samples);
-        assert_eq!(cdf.len(), counted.len());
-        assert_eq!(cdf.min(), counted.min());
-        assert_eq!(cdf.max(), counted.max());
-        for x in [0u64, 1, 2, 3, 5, 7, 10, 99, 100, 101] {
-            assert_eq!(cdf.count_ge(x), counted.count_ge(x), "count_ge({x})");
-            assert!((cdf.fraction_le(x) - counted.fraction_le(x)).abs() < 1e-12);
-            assert!((cdf.fraction_ge(x) - counted.fraction_ge(x)).abs() < 1e-12);
-        }
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            assert_eq!(cdf.quantile(q), counted.quantile(q), "quantile({q})");
-        }
-        assert_eq!(cdf.series(&[2, 7]), counted.series(&[2, 7]));
-        let empty = CountCdf::new();
-        assert!(empty.is_empty());
-        assert_eq!(empty.median(), None);
-        assert_eq!(empty.fraction_le(5), 0.0);
-    }
-
-    #[test]
-    fn count_cdf_merge_is_addition() {
-        let mut a = CountCdf::from_samples([1, 2, 3]);
-        let b = CountCdf::from_samples([3, 4]);
-        a.merge(b);
-        assert_eq!(a.len(), 5);
-        assert_eq!(a.count_ge(3), 3);
-        assert_eq!(a.to_cdf().median(), Some(3));
-    }
-
-    #[test]
-    fn tier_acc_matches_tier_cdfs() {
-        use crate::tiers::{tier_cdfs, tiers_for_population};
+    fn tier_acc_cdfs_are_cumulative() {
+        use crate::tiers::tiers_for_population;
         let tiers = tiers_for_population(10_000);
-        let samples = vec![(5usize, 100u64), (500, 10), (5_000, 1), (50, 7)];
-        let batch = tier_cdfs(&samples, &tiers);
         let mut acc = TierAcc::new(&tiers);
-        for &(rank, v) in &samples {
+        for (rank, v) in [(5usize, 100u64), (500, 10), (5_000, 1)] {
             acc.record(rank, v);
         }
-        let streamed = acc.cdfs();
-        assert_eq!(batch.len(), streamed.len());
-        for (label, cdf) in &batch {
-            let s = &streamed[label];
-            assert_eq!(cdf.len(), s.len(), "{label}");
-            assert_eq!(cdf.median(), s.median(), "{label}");
-        }
+        let cdfs = acc.cdfs();
+        assert_eq!(cdfs.len(), tiers.len());
+        assert_eq!(cdfs["Top 100"].len(), 1);
+        assert_eq!(cdfs["Top 1K"].len(), 2);
+        assert_eq!(cdfs["Whole list"].len(), 3);
+        assert_eq!(cdfs["Top 100"].median(), Some(100));
+    }
+
+    #[test]
+    fn tier_acc_empty_tier_is_empty_cdf() {
+        use crate::tiers::tiers_for_population;
+        let tiers = tiers_for_population(10_000);
+        let mut acc = TierAcc::new(&tiers);
+        acc.record(5_000, 1);
+        let cdfs = acc.cdfs();
+        assert!(cdfs["Top 100"].is_empty());
+        assert_eq!(cdfs["Whole list"].len(), 1);
     }
 
     #[test]
@@ -947,22 +853,35 @@ mod tests {
     }
 
     #[test]
-    fn group_acc_matches_batch_constructor() {
+    fn group_acc_closes_shared_ids_transitively() {
         let pairs = [
             ("cdn-a.sim", "key1"),
             ("cdn-b.sim", "key1"),
             ("cdn-c.sim", "key2"),
-            ("cdn-b.sim", "key2"),
+            ("cdn-b.sim", "key2"), // b bridges key1 and key2
             ("lonely.sim", "key9"),
             ("rotator.sim", "r1"),
             ("rotator.sim", "r2"),
         ];
-        let batch = groups_from_shared_ids(pairs.iter().map(|&(d, i)| (d, i)));
         let mut acc = GroupAcc::exact();
         for (i, &(d, id)) in pairs.iter().enumerate() {
             acc.record(d, id, i as u64);
         }
-        assert_eq!(acc.service_groups(), batch);
+        let groups = acc.service_groups();
+        let members: Vec<Vec<&str>> = groups
+            .iter()
+            .map(|g| g.members.iter().map(String::as_str).collect())
+            .collect();
+        assert_eq!(
+            members,
+            vec![
+                vec!["cdn-a.sim", "cdn-b.sim", "cdn-c.sim"],
+                vec!["lonely.sim"],
+                vec!["rotator.sim"],
+            ],
+            "a rotating domain's many ids keep it one singleton"
+        );
+        assert_eq!(groups[0].label, "cdn");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! These properties pin the law in the three regimes the campaign uses:
 //!
 //! * **exact mode, arbitrary splits** — every record can land in any
-//!   shard and merge order cannot matter (SpanAcc, CountCdf, TierAcc,
+//!   shard and merge order cannot matter (SpanAcc, Cdf, TierAcc,
 //!   ExposureTable, TopK);
 //! * **exact mode, contiguous splits in shard order** — the regime the
 //!   campaign's fixed shard layout guarantees, where even the
@@ -15,11 +15,16 @@
 //! * **horizon mode, domain-/id-partitioned splits** — eviction stays
 //!   equivalent as long as per-domain (per-identifier) state never
 //!   straddles two accumulators, which the shard layout also guarantees.
+//!
+//! The single-accumulator side is itself checked against minimal batch
+//! oracles: a first/last-seen map for spans and a sorted sample vector
+//! for the CDF.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use ts_core::cdf::Cdf;
 use ts_core::exposure::{ExposureKind, ExposureTable};
-use ts_core::stream::{CountCdf, GroupAcc, Merge, SpanAcc, TierAcc, TopK};
+use ts_core::stream::{DomainSpans, GroupAcc, Merge, SpanAcc, TierAcc, TopK};
 use ts_core::tiers::Tier;
 
 /// A sighting stream: (domain, id, day), with a shard assignment.
@@ -40,8 +45,68 @@ fn merge_all<T: Merge>(parts: Vec<T>) -> T {
     acc
 }
 
+/// The paper's estimator in its plainest form: every (domain, id) pair's
+/// first and last day, then per domain the longest inclusive span, the
+/// number of ids and the number of distinct days.
+fn span_oracle(stream: &[(String, String, u64, usize)]) -> BTreeMap<String, DomainSpans> {
+    let mut ranges: BTreeMap<(&str, &str), (u64, u64)> = BTreeMap::new();
+    let mut days: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
+    for (domain, id, day, _) in stream {
+        let r = ranges.entry((domain, id)).or_insert((*day, *day));
+        *r = (r.0.min(*day), r.1.max(*day));
+        days.entry(domain).or_default().insert(*day);
+    }
+    let mut out: BTreeMap<String, DomainSpans> = BTreeMap::new();
+    for ((domain, _), (first, last)) in ranges {
+        let ds = out.entry(domain.to_string()).or_insert(DomainSpans {
+            max_span_days: 0,
+            distinct_ids: 0,
+            days_seen: days[domain].len(),
+        });
+        ds.max_span_days = ds.max_span_days.max(last - first + 1);
+        ds.distinct_ids += 1;
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // --- SpanAcc against the batch oracle ---
+
+    #[test]
+    fn span_acc_exact_matches_first_last_seen_oracle(
+        stream in sightings(150),
+        threshold in 1u64..20,
+    ) {
+        let mut acc = SpanAcc::exact();
+        for (domain, id, day, _) in &stream {
+            acc.record(domain, id, *day);
+            acc.advance(*day);
+        }
+        let oracle = span_oracle(&stream);
+        prop_assert_eq!(&acc.domain_spans(), &oracle);
+        let max_spans: Vec<u64> = oracle.values().map(|s| s.max_span_days).collect();
+        prop_assert_eq!(acc.max_spans(), max_spans);
+        let mut long: Vec<(String, u64)> = oracle
+            .iter()
+            .filter(|(_, s)| s.max_span_days >= threshold)
+            .map(|(d, s)| (d.clone(), s.max_span_days))
+            .collect();
+        long.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        prop_assert_eq!(acc.domains_with_span_at_least(threshold), long);
+        let pairs: BTreeSet<(&str, &str)> =
+            stream.iter().map(|(d, id, _, _)| (d.as_str(), id.as_str())).collect();
+        prop_assert_eq!(acc.pair_count(), pairs.len());
+        for (domain, id) in pairs {
+            let days = stream
+                .iter()
+                .filter(|(d, i, _, _)| d == domain && i == id)
+                .map(|(_, _, day, _)| *day);
+            let (first, last) = (days.clone().min().unwrap(), days.max().unwrap());
+            prop_assert_eq!(acc.span_of(domain, id), Some(last - first + 1));
+        }
+    }
 
     // --- SpanAcc, exact mode: full order independence ---
 
@@ -126,14 +191,15 @@ proptest! {
         prop_assert_eq!(merged.pair_count(), single.pair_count());
     }
 
-    // --- CountCdf / TierAcc ---
+    // --- Cdf / TierAcc ---
 
     #[test]
-    fn count_cdf_sharded_equals_single_any_split(
+    fn cdf_sharded_equals_single_any_split(
         samples in proptest::collection::vec((0u64..200, 0usize..4), 1..200),
+        q in 0.0f64..1.0,
     ) {
-        let mut single = CountCdf::new();
-        let mut shards: Vec<CountCdf> = (0..4).map(|_| CountCdf::new()).collect();
+        let mut single = Cdf::new();
+        let mut shards: Vec<Cdf> = (0..4).map(|_| Cdf::new()).collect();
         for (v, shard) in &samples {
             single.add(*v);
             shards[*shard].add(*v);
@@ -144,13 +210,23 @@ proptest! {
         let backward = merge_all(reversed);
         prop_assert_eq!(&forward, &single);
         prop_assert_eq!(&backward, &single);
-        // Query surface agrees with the sorted-sample CDF it replaces.
-        let cdf = forward.to_cdf();
+        // Query surface agrees with a sorted sample vector: integer count
+        // over total, and nearest rank.
+        let mut sorted: Vec<u64> = samples.iter().map(|(v, _)| *v).collect();
+        sorted.sort_unstable();
+        let n = sorted.len();
         for x in [0, 50, 199] {
-            prop_assert_eq!(forward.count_ge(x), cdf.count_ge(x));
-            prop_assert!((forward.fraction_le(x) - cdf.fraction_le(x)).abs() < 1e-12);
+            let le = sorted.partition_point(|&v| v <= x);
+            let ge = n - sorted.partition_point(|&v| v < x);
+            prop_assert_eq!(forward.count_le(x), le);
+            prop_assert_eq!(forward.count_ge(x), ge);
+            prop_assert_eq!(forward.fraction_le(x), le as f64 / n as f64);
+            prop_assert_eq!(forward.fraction_ge(x), ge as f64 / n as f64);
         }
-        prop_assert_eq!(forward.median(), cdf.median());
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        prop_assert_eq!(forward.quantile(q), Some(sorted[rank - 1]));
+        prop_assert_eq!(forward.median(), Some(sorted[n.div_ceil(2) - 1]));
+        prop_assert_eq!((forward.min(), forward.max()), (sorted.first().copied(), sorted.last().copied()));
     }
 
     #[test]

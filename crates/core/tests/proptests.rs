@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use ts_core::cdf::Cdf;
-use ts_core::lifetime::SpanEstimator;
+use ts_core::stream::SpanAcc;
 use ts_core::unionfind::{DisjointSets, UnionFind};
 
 proptest! {
@@ -181,7 +181,7 @@ proptest! {
             1..200,
         ),
     ) {
-        let mut est = SpanEstimator::new();
+        let mut est = SpanAcc::exact();
         for (domain, id, day) in &sightings {
             est.record(domain, id, *day);
         }
@@ -213,7 +213,7 @@ proptest! {
     fn span_of_single_id_equals_range(
         days in proptest::collection::hash_set(0u64..63, 1..30),
     ) {
-        let mut est = SpanEstimator::new();
+        let mut est = SpanAcc::exact();
         for &d in &days {
             est.record("x.sim", "only-key", d);
         }

@@ -8,8 +8,8 @@
 //! Pinned to the RFC 7748 §5.2 test vectors and the iterated-ladder vector.
 //!
 //! Limb-bound discipline (the invariants the carry chains rely on):
-//! reduced elements have limbs < 2^51 + ε; [`Fe::add`] and [`Fe::sub`]
-//! emit limbs < 2^53 without re-carrying; [`Fe::mul`]/[`Fe::square`]
+//! reduced elements have limbs < 2^51 + ε; `Fe::add` and `Fe::sub`
+//! emit limbs < 2^53 without re-carrying; `Fe::mul`/`Fe::square`
 //! accept limbs < 2^53 and emit reduced elements.
 
 /// Length of scalars and public values.

@@ -394,8 +394,8 @@ const SECONDARY_NOTABLES: &[NotableDomain] = &[
 ///
 /// `scale` is population_size / 1,000,000. The named headline domains are
 /// always present (they make the reproduced tables recognizable), but
-/// everything bulk — the 8 yandex.[tld] mirrors, the 32 kayak.[tld]
-/// mirrors, and the [`SECONDARY_NOTABLES`] block — scales with the
+/// everything bulk — the 8 `yandex.[tld]` mirrors, the 32 `kayak.[tld]`
+/// mirrors, and the `SECONDARY_NOTABLES` block — scales with the
 /// population, so small simulations are not overweighted with long-reuse
 /// domains relative to the paper's proportions.
 pub fn notables(scale: f64) -> Vec<NotableDomain> {

@@ -154,34 +154,12 @@ pub fn session_cache_scan_streaming(
     }
 }
 
-/// §5.2: STEK sharing. Ten connections across `window_secs`, then one more
-/// after `snapshot_offset`; groups from shared identifiers.
+/// §5.2: STEK sharing. `connections` grabs per domain spread across
+/// `window_secs`, then one more after `snapshot_offset`. Each ticket
+/// sighting goes to `on_sighting` as it is observed; grouping domains by
+/// shared identifier is left to the caller's
+/// [`GroupAcc`](ts_core::stream::GroupAcc).
 pub fn stek_sharing_scan(
-    scanner: &mut Scanner,
-    targets: &[Target],
-    now: u64,
-    window_secs: u64,
-    connections: u32,
-    snapshot_offset: u64,
-) -> (Vec<ServiceGroup>, Vec<TicketSighting>) {
-    let mut sightings = Vec::new();
-    stek_sharing_scan_streaming(
-        scanner,
-        targets,
-        now,
-        window_secs,
-        connections,
-        snapshot_offset,
-        |s| sightings.push(s),
-    );
-    let groups = groups::stek_groups(&sightings);
-    (groups, sightings)
-}
-
-/// §5.2 streaming form: each ticket sighting goes to `on_sighting` as it
-/// is observed (same grab order as [`stek_sharing_scan`]); grouping is
-/// left to the caller's accumulator.
-pub fn stek_sharing_scan_streaming(
     scanner: &mut Scanner,
     targets: &[Target],
     now: u64,
@@ -222,24 +200,9 @@ pub fn stek_sharing_scan_streaming(
 }
 
 /// §5.3: Diffie-Hellman value sharing, DHE-only plus ECDHE-only offers.
+/// Each key-exchange sighting (either flavour) goes to `on_sighting` as it
+/// is observed; the paper groups both flavours together (Table 7).
 pub fn dh_sharing_scan(
-    scanner: &mut Scanner,
-    targets: &[Target],
-    now: u64,
-    window_secs: u64,
-    connections: u32,
-) -> (Vec<ServiceGroup>, Vec<KexSighting>) {
-    let mut sightings = Vec::new();
-    dh_sharing_scan_streaming(scanner, targets, now, window_secs, connections, |s| {
-        sightings.push(s)
-    });
-    let groups = groups::dh_groups(&sightings);
-    (groups, sightings)
-}
-
-/// §5.3 streaming form: each key-exchange sighting goes to `on_sighting`
-/// as it is observed (same grab order as [`dh_sharing_scan`]).
-pub fn dh_sharing_scan_streaming(
     scanner: &mut Scanner,
     targets: &[Target],
     now: u64,
@@ -275,6 +238,7 @@ pub fn dh_sharing_scan_streaming(
 mod tests {
     use super::*;
     use std::sync::OnceLock;
+    use ts_core::stream::GroupAcc;
     use ts_population::{Population, PopulationConfig};
 
     fn pop() -> &'static Population {
@@ -346,9 +310,14 @@ mod tests {
         let mut domains = operator_domains(p, "teemall", 3);
         domains.push("yahoo.sim".into());
         let targets = build_targets(&mut s, &domains);
-        let (groups, sightings) =
-            stek_sharing_scan(&mut s, &targets, 20_000, 6 * 3_600, 10, 30 * 60);
-        assert!(!sightings.is_empty());
+        let mut acc = GroupAcc::exact();
+        let mut sightings = 0;
+        stek_sharing_scan(&mut s, &targets, 20_000, 6 * 3_600, 10, 30 * 60, |x| {
+            sightings += 1;
+            acc.record(&x.domain, &x.stek_id, x.day);
+        });
+        assert!(sightings > 0);
+        let groups = acc.service_groups();
         assert_eq!(groups[0].size(), 3, "teemall shares one STEK");
         assert!(groups
             .iter()
@@ -362,7 +331,11 @@ mod tests {
         let mut domains = operator_domains(p, "rhombusspace", 3);
         domains.push("twitter.sim".into());
         let targets = build_targets(&mut s, &domains);
-        let (groups, _sightings) = dh_sharing_scan(&mut s, &targets, 30_000, 3_600, 4);
+        let mut acc = GroupAcc::exact();
+        dh_sharing_scan(&mut s, &targets, 30_000, 3_600, 4, |x| {
+            acc.record(&x.domain, &x.value_fp, x.day)
+        });
+        let groups = acc.service_groups();
         // rhombusspace shares an ECDHE value (3-day reuse policy).
         assert_eq!(groups[0].size(), 3, "{groups:?}");
     }

@@ -7,7 +7,7 @@
 use crate::grab::{GrabOptions, Scanner, SuiteOffer};
 use ts_core::observations::{KexKind, KexSighting, TicketSighting};
 use ts_simnet::clock::{Clock, DAY, MINUTE};
-use ts_telemetry::{emit, Counter, Event};
+use ts_telemetry::Counter;
 
 static CAMPAIGN_DAYS: Counter = Counter::new("scanner.campaign.days");
 static CAMPAIGN_ATTEMPTS: Counter = Counter::new("scanner.campaign.attempts");
@@ -84,23 +84,12 @@ impl Default for CampaignOptions {
     }
 }
 
-/// The sightings a campaign produced.
-#[derive(Debug, Default, Clone)]
-pub struct CampaignData {
-    /// (domain, day, STEK id) sightings.
-    pub tickets: Vec<TicketSighting>,
-    /// (domain, day, KEX value) sightings, both flavours.
-    pub kex: Vec<KexSighting>,
-    /// Handshake attempts made (for throughput reporting).
-    pub attempts: u64,
-}
-
 /// Consumer of campaign observations, invoked as the scan produces them.
 ///
-/// The streaming counterpart of [`CampaignData`]: a sink that folds each
-/// sighting into a bounded accumulator lets a sharded campaign run with
-/// peak memory independent of the domain-day count, instead of holding
-/// every sighting of a nine-week scan at once.
+/// A sink that folds each sighting into a bounded accumulator (for
+/// example a [`SpanAcc`](ts_core::stream::SpanAcc)) lets a sharded
+/// campaign run with peak memory independent of the domain-day count,
+/// instead of holding every sighting of a nine-week scan at once.
 pub trait CampaignSink {
     /// One ticket sighting (trusted grab that issued a ticket).
     fn ticket(&mut self, sighting: TicketSighting);
@@ -110,21 +99,12 @@ pub trait CampaignSink {
     fn day_done(&mut self, _day: u64) {}
 }
 
-impl CampaignSink for CampaignData {
-    fn ticket(&mut self, sighting: TicketSighting) {
-        self.tickets.push(sighting);
-    }
-
-    fn kex(&mut self, sighting: KexSighting) {
-        self.kex.push(sighting);
-    }
-}
-
 /// Run a daily campaign, draining observations into `sink` as each grab
 /// completes. Returns the number of handshake attempts made.
 ///
-/// Identical grab sequence and observation stream to [`run_campaign`] —
-/// that function is now this one with a [`CampaignData`] sink.
+/// `domains_for_day` selects targets (e.g. the full list, or the stable
+/// core); the default campaign scans whatever the churned list contains,
+/// and analysis filters to the core afterwards — exactly the paper's flow.
 pub fn run_campaign_streaming(
     scanner: &mut Scanner,
     options: &CampaignOptions,
@@ -191,35 +171,17 @@ pub fn run_campaign_streaming(
             }
         }
         CAMPAIGN_DAYS.inc();
-        emit(Event::CampaignDay { day });
         sink.day_done(day);
     }
     CAMPAIGN_ATTEMPTS.add(attempts);
     attempts
 }
 
-/// Run a daily campaign over the population's per-day list.
-///
-/// `domains_for_day` selects targets (e.g. the full list, or the stable
-/// core); the default campaign scans whatever the churned list contains,
-/// and analysis filters to the core afterwards — exactly the paper's flow.
-pub fn run_campaign(
-    scanner: &mut Scanner,
-    options: &CampaignOptions,
-    domains_for_day: impl FnMut(u64) -> Vec<String>,
-) -> CampaignData {
-    let mut data = CampaignData::default();
-    let attempts = run_campaign_streaming(scanner, options, domains_for_day, &mut data);
-    data.attempts = attempts;
-    data
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::OnceLock;
-    use ts_core::lifetime::SpanEstimator;
-    use ts_core::observations::KexKind;
+    use ts_core::stream::SpanAcc;
     use ts_population::{Population, PopulationConfig};
 
     fn pop() -> &'static Population {
@@ -231,19 +193,52 @@ mod tests {
         })
     }
 
-    fn mini_campaign(days: std::ops::Range<u64>, targets: Vec<String>) -> CampaignData {
-        let p = pop();
-        let mut s = Scanner::new(p, "daily-test");
+    /// Exact per-mechanism spans of one campaign run.
+    #[derive(Default)]
+    struct Spans {
+        stek: SpanAcc,
+        dhe: SpanAcc,
+        ecdhe: SpanAcc,
+        attempts: u64,
+    }
+
+    impl CampaignSink for Spans {
+        fn ticket(&mut self, s: TicketSighting) {
+            self.stek.record(&s.domain, &s.stek_id, s.day);
+        }
+
+        fn kex(&mut self, s: KexSighting) {
+            let acc = match s.kex {
+                KexKind::Dhe => &mut self.dhe,
+                KexKind::Ecdhe => &mut self.ecdhe,
+            };
+            acc.record(&s.domain, &s.value_fp, s.day);
+        }
+    }
+
+    fn campaign(
+        p: &Population,
+        label: &str,
+        days: std::ops::Range<u64>,
+        targets: Vec<String>,
+    ) -> Spans {
+        let mut s = Scanner::new(p, label);
         let options = CampaignOptions::new().days(days);
-        run_campaign(&mut s, &options, move |_day| targets.clone())
+        let mut spans = Spans::default();
+        spans.attempts =
+            run_campaign_streaming(&mut s, &options, move |_day| targets.clone(), &mut spans);
+        spans
+    }
+
+    fn mini_campaign(days: std::ops::Range<u64>, targets: Vec<String>) -> Spans {
+        campaign(pop(), "daily-test", days, targets)
     }
 
     #[test]
     fn static_stek_domain_spans_whole_window() {
-        let data = mini_campaign(0..10, vec!["yahoo.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_tickets(&data.tickets);
-        let spans = est.domain_spans();
+        let spans = mini_campaign(0..10, vec!["yahoo.sim".into()])
+            .stek
+            .domain_spans();
         assert_eq!(spans["yahoo.sim"].max_span_days, 10);
         assert_eq!(spans["yahoo.sim"].distinct_ids, 1, "one STEK for 10 days");
     }
@@ -255,12 +250,9 @@ mod tests {
         let mut cfg = PopulationConfig::new(33, 300);
         cfg.flakiness = 0.0;
         let p = Population::build(cfg);
-        let mut s = Scanner::new(&p, "daily-rotate");
-        let options = CampaignOptions::new().days(0..6);
-        let data = run_campaign(&mut s, &options, |_day| vec!["twitter.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_tickets(&data.tickets);
-        let spans = est.domain_spans();
+        let spans = campaign(&p, "daily-rotate", 0..6, vec!["twitter.sim".into()])
+            .stek
+            .domain_spans();
         assert_eq!(spans["twitter.sim"].max_span_days, 1, "fresh STEK daily");
         assert_eq!(spans["twitter.sim"].distinct_ids, 6);
     }
@@ -268,18 +260,17 @@ mod tests {
     #[test]
     fn restart_rotation_observed_at_boundary() {
         // netflix.sim: STEK rotates every 54 days; in a 6-day window one id.
-        let data = mini_campaign(0..6, vec!["netflix.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_tickets(&data.tickets);
-        assert_eq!(est.domain_spans()["netflix.sim"].distinct_ids, 1);
+        let spans = mini_campaign(0..6, vec!["netflix.sim".into()])
+            .stek
+            .domain_spans();
+        assert_eq!(spans["netflix.sim"].distinct_ids, 1);
     }
 
     #[test]
     fn ecdhe_reuser_spans_and_fresh_domain_does_not() {
-        let data = mini_campaign(0..5, vec!["whatsapp.sim".into(), "twitter.sim".into()]);
-        let mut est = SpanEstimator::new();
-        est.record_kex(&data.kex, KexKind::Ecdhe);
-        let spans = est.domain_spans();
+        let spans = mini_campaign(0..5, vec!["whatsapp.sim".into(), "twitter.sim".into()])
+            .ecdhe
+            .domain_spans();
         assert_eq!(spans["whatsapp.sim"].max_span_days, 5, "62-day ECDHE reuse");
         assert_eq!(spans["twitter.sim"].max_span_days, 1, "fresh values");
     }
@@ -295,20 +286,16 @@ mod tests {
             .unwrap()
             .name
             .clone();
-        let data = mini_campaign(0..3, vec!["cookpad.sim".into(), cdn.clone()]);
-        let dhe_domains: std::collections::HashSet<&str> = data
-            .kex
-            .iter()
-            .filter(|s| s.kex == KexKind::Dhe)
-            .map(|s| s.domain.as_str())
-            .collect();
-        assert!(dhe_domains.contains("cookpad.sim"));
-        assert!(!dhe_domains.contains(cdn.as_str()));
+        let dhe = mini_campaign(0..3, vec!["cookpad.sim".into(), cdn.clone()])
+            .dhe
+            .domain_spans();
+        assert!(dhe.contains_key("cookpad.sim"));
+        assert!(!dhe.contains_key(&cdn));
     }
 
     #[test]
     fn attempts_counted() {
-        let data = mini_campaign(0..2, vec!["yahoo.sim".into()]);
-        assert_eq!(data.attempts, 2 * 3, "3 grabs per domain-day");
+        let spans = mini_campaign(0..2, vec!["yahoo.sim".into()]);
+        assert_eq!(spans.attempts, 2 * 3, "3 grabs per domain-day");
     }
 }

@@ -4,7 +4,7 @@ use ts_core::observations::fingerprint_hex;
 use ts_crypto::drbg::HmacDrbg;
 use ts_population::Population;
 use ts_simnet::{ConnectError, Ip};
-use ts_telemetry::{emit, Counter, Event, Histogram};
+use ts_telemetry::{Counter, Histogram};
 use ts_tls::config::{ClientConfig, ResumptionOffer};
 use ts_tls::server::ResumeKind;
 use ts_tls::session::SessionState;
@@ -23,21 +23,16 @@ static GRAB_TLS_FAILED: Counter = Counter::new("scanner.grab.tls_failed");
 static GRAB_RETRIES: Counter = Counter::new("scanner.grab.retries");
 static GRAB_ATTEMPTS: Histogram = Histogram::new("scanner.grab.attempts", &[1, 2, 3, 4, 8]);
 
-/// Count one concluded grab under its class counter and fire the event.
+/// Count one concluded grab under its class counter.
 fn record_grab(outcome: &Result<Observation, GrabFailure>, attempts: u32) {
-    let (counter, class): (&'static Counter, &'static str) = match outcome {
-        Ok(_) => (&GRAB_OK, "ok"),
-        Err(f) => (
-            match f {
-                GrabFailure::Blacklisted => &GRAB_BLACKLISTED,
-                GrabFailure::NoDns => &GRAB_NO_DNS,
-                GrabFailure::Refused => &GRAB_REFUSED,
-                GrabFailure::Timeout => &GRAB_TIMEOUT,
-                GrabFailure::UnknownHost => &GRAB_UNKNOWN_HOST,
-                GrabFailure::TlsFailed(_) => &GRAB_TLS_FAILED,
-            },
-            f.class(),
-        ),
+    let counter: &'static Counter = match outcome {
+        Ok(_) => &GRAB_OK,
+        Err(GrabFailure::Blacklisted) => &GRAB_BLACKLISTED,
+        Err(GrabFailure::NoDns) => &GRAB_NO_DNS,
+        Err(GrabFailure::Refused) => &GRAB_REFUSED,
+        Err(GrabFailure::Timeout) => &GRAB_TIMEOUT,
+        Err(GrabFailure::UnknownHost) => &GRAB_UNKNOWN_HOST,
+        Err(GrabFailure::TlsFailed(_)) => &GRAB_TLS_FAILED,
     };
     counter.inc();
     if attempts > 1 {
@@ -47,7 +42,6 @@ fn record_grab(outcome: &Result<Observation, GrabFailure>, attempts: u32) {
         // Blacklisted / no-DNS grabs never touch the network.
         GRAB_ATTEMPTS.observe(u64::from(attempts));
     }
-    emit(Event::GrabOutcome { class, attempts });
 }
 
 /// Which cipher suites the grabber offers.
@@ -171,20 +165,6 @@ pub enum GrabFailure {
     UnknownHost,
     /// TLS handshake failed (the structured cause is preserved).
     TlsFailed(TlsError),
-}
-
-impl GrabFailure {
-    /// Stable label for this failure class (telemetry / report keys).
-    pub fn class(&self) -> &'static str {
-        match self {
-            GrabFailure::Blacklisted => "blacklisted",
-            GrabFailure::NoDns => "no-dns",
-            GrabFailure::Refused => "refused",
-            GrabFailure::Timeout => "timeout",
-            GrabFailure::UnknownHost => "unknown-host",
-            GrabFailure::TlsFailed(_) => "tls-failed",
-        }
-    }
 }
 
 impl std::fmt::Display for GrabFailure {

@@ -10,7 +10,7 @@
 use crate::addr::Ip;
 use std::collections::BTreeMap;
 use ts_crypto::drbg::HmacDrbg;
-use ts_telemetry::{emit, Counter, Event};
+use ts_telemetry::Counter;
 
 static DNS_HIT: Counter = Counter::new("simnet.dns.hit");
 static DNS_MISS: Counter = Counter::new("simnet.dns.miss");
@@ -54,12 +54,10 @@ impl Dns {
         let ips = match self.lookup_all(domain) {
             Some(ips) => {
                 DNS_HIT.inc();
-                emit(Event::DnsLookup { hit: true });
                 ips
             }
             None => {
                 DNS_MISS.inc();
-                emit(Event::DnsLookup { hit: false });
                 return None;
             }
         };

@@ -11,7 +11,7 @@ use crate::addr::Ip;
 use std::collections::HashMap;
 use std::sync::Arc;
 use ts_crypto::drbg::HmacDrbg;
-use ts_telemetry::{emit, Counter, Event};
+use ts_telemetry::Counter;
 use ts_tls::config::{ClientConfig, ServerConfig};
 use ts_tls::pump::{pump, WireCapture};
 use ts_tls::{ClientConn, ServerConn, TlsError};
@@ -23,9 +23,8 @@ static CONNECT_FLAKY_DROP: Counter = Counter::new("simnet.connect.flaky_drop");
 static CONNECT_UNKNOWN_SNI: Counter = Counter::new("simnet.connect.unknown_sni");
 static CONNECT_TLS_FAIL: Counter = Counter::new("simnet.connect.tls_fail");
 
-fn count_outcome(counter: &'static Counter, outcome: &'static str) {
+fn count_outcome(counter: &'static Counter) {
     counter.inc();
-    emit(Event::ConnectAttempt { outcome });
 }
 
 /// Something listening on TCP/443 at an IP.
@@ -143,7 +142,7 @@ impl SimNet {
         let responder = match self.responders.get(&ip) {
             Some(r) => r,
             None => {
-                count_outcome(&CONNECT_REFUSED, "refused");
+                count_outcome(&CONNECT_REFUSED);
                 return Err(ConnectError::Refused);
             }
         };
@@ -153,13 +152,13 @@ impl SimNet {
             .copied()
             .unwrap_or(self.default_flakiness);
         if p_fail > 0.0 && rng.gen_bool(p_fail) {
-            count_outcome(&CONNECT_FLAKY_DROP, "flaky-drop");
+            count_outcome(&CONNECT_FLAKY_DROP);
             return Err(ConnectError::Timeout);
         }
         let server_config = match responder.server_config(&client_config.server_name, now) {
             Some(cfg) => cfg,
             None => {
-                count_outcome(&CONNECT_UNKNOWN_SNI, "unknown-sni");
+                count_outcome(&CONNECT_UNKNOWN_SNI);
                 return Err(ConnectError::UnknownHost);
             }
         };
@@ -170,15 +169,15 @@ impl SimNet {
         let result = match pump(&mut client, &mut server) {
             Ok(r) => r,
             Err(e) => {
-                count_outcome(&CONNECT_TLS_FAIL, "tls-fail");
+                count_outcome(&CONNECT_TLS_FAIL);
                 return Err(ConnectError::Tls(e));
             }
         };
         if !client.is_established() || !server.is_established() {
-            count_outcome(&CONNECT_TLS_FAIL, "tls-fail");
+            count_outcome(&CONNECT_TLS_FAIL);
             return Err(ConnectError::Tls(TlsError::NotReady));
         }
-        count_outcome(&CONNECT_OK, "ok");
+        count_outcome(&CONNECT_OK);
         Ok(Connection {
             client,
             server,

@@ -14,19 +14,14 @@
 //!   from the deterministic snapshot serialization.
 //! * [`Snapshot`] — a point-in-time merge of every registered metric,
 //!   sorted by name, serializable through `ts_core::json`.
-//! * [`TelemetrySink`] — an optional per-connection event stream. The
-//!   default is no sink at all: with nothing installed, the entire event
-//!   path is one relaxed atomic load.
 //!
 //! ## The no-secret-bytes rule
 //!
 //! Telemetry values are *public by construction*: counter/histogram values
-//! are `u64` tallies, span durations are times, and [`Event`] variants
-//! carry only `Copy` scalars and `&'static str` labels — never byte
-//! buffers, session IDs, tickets, or key material. `ts-lint` enforces this
-//! shape: a secret-tainted expression reaching a telemetry sink method
-//! (`inc`/`add`-free by design — the sinks are `observe`, `emit`,
-//! `record`) fails the workspace lint.
+//! are `u64` tallies and span durations are times — never byte buffers,
+//! session IDs, tickets, or key material. `ts-lint` enforces this shape: a
+//! secret-tainted expression reaching a telemetry sink method (`observe`,
+//! `emit`, `record`) fails the workspace lint.
 //!
 //! ## Determinism
 //!
@@ -42,10 +37,8 @@
 mod json;
 mod metrics;
 mod registry;
-mod sink;
 mod span;
 
 pub use metrics::{Counter, Histogram, SHARDS};
 pub use registry::{snapshot, CounterSnapshot, HistogramSnapshot, Snapshot, SpanSnapshot};
-pub use sink::{clear_sink, emit, set_sink, Event, NoopSink, TelemetrySink};
 pub use span::{SpanGuard, SpanStat};

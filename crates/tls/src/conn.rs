@@ -10,7 +10,7 @@
 //! for, and [`IoState`] summarises what a processing step produced.
 //!
 //! This is the rustls-style inversion: one buffering core, two thin
-//! protocol "sides" (a [`Side`] implementation per role) that only ever
+//! protocol "sides" (a `Side` implementation per role) that only ever
 //! see whole handshake messages. The outgoing buffer is persistent — a
 //! drain cursor, not a fresh `Vec` per flight — so a load generator
 //! driving millions of handshakes does not churn the allocator.
@@ -258,7 +258,7 @@ pub(crate) trait Side {
     fn set_failed(&mut self);
 
     /// Hook for sides that meter sent alerts (the server's telemetry).
-    fn note_alert_sent(&self, _desc: AlertDescription) {}
+    fn note_alert_sent(&self) {}
 }
 
 /// Fail the connection: queue a fatal alert and surface the error.
@@ -269,7 +269,7 @@ pub(crate) fn fail_conn<S: Side + ?Sized>(
     desc: AlertDescription,
 ) -> Result<IoState, TlsError> {
     side.set_failed();
-    side.note_alert_sent(desc);
+    side.note_alert_sent();
     common.status = Status::Failed;
     let alert = Alert::fatal(desc);
     common.queue_record(ContentType::Alert, &alert.encode());

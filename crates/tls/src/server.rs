@@ -31,7 +31,7 @@ use ts_crypto::bignum::Ub;
 use ts_crypto::dh::{validate_public, DhKeyPair};
 use ts_crypto::drbg::HmacDrbg;
 use ts_crypto::x25519::X25519KeyPair;
-use ts_telemetry::{emit, Counter, Event};
+use ts_telemetry::Counter;
 
 static HANDSHAKE_FULL: Counter = Counter::new("tls.server.handshake.full");
 static RESUME_TICKET_HIT: Counter = Counter::new("tls.server.resume.ticket.hit");
@@ -187,13 +187,9 @@ impl ServerSide {
                 match accepted {
                     Some(state) => {
                         RESUME_TICKET_HIT.inc();
-                        emit(Event::ResumptionHit { kind: "ticket" });
                         return self.resume(common, state, ResumeKind::Ticket, Vec::new());
                     }
-                    None => {
-                        RESUME_TICKET_MISS.inc();
-                        emit(Event::ResumptionMiss { kind: "ticket" });
-                    }
+                    None => RESUME_TICKET_MISS.inc(),
                 }
             }
         }
@@ -208,14 +204,10 @@ impl ServerSide {
                 match hit {
                     Some(state) => {
                         RESUME_SID_HIT.inc();
-                        emit(Event::ResumptionHit { kind: "session-id" });
                         let sid = ch.session_id.clone();
                         return self.resume(common, state, ResumeKind::SessionId, sid);
                     }
-                    None => {
-                        RESUME_SID_MISS.inc();
-                        emit(Event::ResumptionMiss { kind: "session-id" });
-                    }
+                    None => RESUME_SID_MISS.inc(),
                 }
             }
         }
@@ -329,10 +321,6 @@ impl ServerSide {
             let manager = self.config.tickets.as_ref().expect("checked").clone();
             let ticket = manager.issue(&state, self.now);
             TICKET_REISSUED.inc();
-            emit(Event::TicketIssued {
-                reissue: true,
-                lifetime_hint: self.config.ticket_lifetime_hint,
-            });
             common.send_handshake(&HandshakeMessage::NewSessionTicket(NewSessionTicket {
                 lifetime_hint: self.config.ticket_lifetime_hint,
                 ticket,
@@ -433,10 +421,6 @@ impl ServerSide {
             let manager = self.config.tickets.as_ref().expect("checked").clone();
             let ticket = manager.issue(&state, self.now);
             TICKET_ISSUED.inc();
-            emit(Event::TicketIssued {
-                reissue: false,
-                lifetime_hint: self.config.ticket_lifetime_hint,
-            });
             common.send_handshake(&HandshakeMessage::NewSessionTicket(NewSessionTicket {
                 lifetime_hint: self.config.ticket_lifetime_hint,
                 ticket,
@@ -512,11 +496,8 @@ impl Side for ServerSide {
         self.state = State::Failed;
     }
 
-    fn note_alert_sent(&self, desc: AlertDescription) {
+    fn note_alert_sent(&self) {
         ALERT_SENT.inc();
-        emit(Event::AlertSent {
-            code: desc.to_byte(),
-        });
     }
 }
 

@@ -410,7 +410,6 @@ impl StekManager {
             }
             self.history.push(self.active.clone());
             STEK_ROTATIONS.inc();
-            ts_telemetry::emit(ts_telemetry::Event::StekRotation { now: new_created });
         }
         // Drop retired keys past their acceptance overlap. Their
         // retirement moment is the creation of their successor, i.e.

@@ -30,7 +30,7 @@ pub enum Tag {
     Set,
     /// GeneralizedTime (0x18)
     GeneralizedTime,
-    /// Context-specific constructed tag [n]
+    /// Context-specific constructed tag `[n]`
     Context(u8),
 }
 

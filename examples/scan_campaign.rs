@@ -6,17 +6,36 @@
 //! cargo run --release --example scan_campaign [size]
 //! ```
 //!
-//! (For the full per-table/figure output, use `cargo run --release -p
-//! ts-bench --bin repro`.)
+//! (For the full per-table/figure output, use `cargo run --release --bin
+//! repro`.)
 
 use tls_shortcuts::core::cdf::Cdf;
-use tls_shortcuts::core::lifetime::SpanEstimator;
-use tls_shortcuts::core::observations::KexKind;
+use tls_shortcuts::core::observations::{KexSighting, TicketSighting};
 use tls_shortcuts::core::report::pct;
+use tls_shortcuts::core::stream::GroupAcc;
 use tls_shortcuts::population::{Population, PopulationConfig};
 use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan};
-use tls_shortcuts::scanner::daily::{run_campaign, CampaignOptions};
+use tls_shortcuts::scanner::daily::{run_campaign_streaming, CampaignOptions, CampaignSink};
 use tls_shortcuts::scanner::Scanner;
+use ts_bench::exp_campaign::CampaignSpans;
+
+/// Exact per-mechanism spans plus a count of ticket sightings.
+#[derive(Default)]
+struct Tally {
+    spans: CampaignSpans,
+    tickets: usize,
+}
+
+impl CampaignSink for Tally {
+    fn ticket(&mut self, s: TicketSighting) {
+        self.tickets += 1;
+        self.spans.ticket(s);
+    }
+
+    fn kex(&mut self, s: KexSighting) {
+        self.spans.kex(s);
+    }
+}
 
 fn main() {
     let size: usize = std::env::args()
@@ -37,18 +56,20 @@ fn main() {
     println!("\nrunning 63 daily scans (ticket + DHE + ECDHE grabs per domain)...");
     let mut scanner = Scanner::new(&pop, "campaign");
     let targets = core.clone();
-    let data = run_campaign(&mut scanner, &CampaignOptions::new(), move |_d| {
-        targets.clone()
-    });
+    let mut tally = Tally::default();
+    let attempts = run_campaign_streaming(
+        &mut scanner,
+        &CampaignOptions::new(),
+        move |_d| targets.clone(),
+        &mut tally,
+    );
     println!(
         "  {} handshake attempts, {} ticket sightings",
-        data.attempts,
-        data.tickets.len()
+        attempts, tally.tickets
     );
+    let CampaignSpans { stek, dhe, ecdhe } = tally.spans;
 
     // --- STEK lifetimes (Figure 3's shape). ---
-    let mut stek = SpanEstimator::new();
-    stek.record_tickets(&data.tickets);
     let cdf = Cdf::from_samples(stek.max_spans());
     println!("\nSTEK lifetime over {} ticket-issuing domains:", cdf.len());
     println!(
@@ -59,10 +80,6 @@ fn main() {
     println!("  span ≥ 30d  : {} (paper ~13%)", pct(cdf.fraction_ge(30)));
 
     // --- KEX value reuse (Figure 5's shape). ---
-    let mut dhe = SpanEstimator::new();
-    dhe.record_kex(&data.kex, KexKind::Dhe);
-    let mut ecdhe = SpanEstimator::new();
-    ecdhe.record_kex(&data.kex, KexKind::Ecdhe);
     let d7 = dhe.domains_with_span_at_least(7).len();
     let e7 = ecdhe.domains_with_span_at_least(7).len();
     println!("\nephemeral value reuse ≥7 days:");
@@ -80,7 +97,17 @@ fn main() {
     let scanner2 = Scanner::new(&pop, "groups");
     let frame = build_targets(&scanner2, &core);
     let mut scanner2 = scanner2;
-    let (groups, _) = stek_sharing_scan(&mut scanner2, &frame, 40 * 86_400, 6 * 3_600, 10, 1_800);
+    let mut acc = GroupAcc::exact();
+    stek_sharing_scan(
+        &mut scanner2,
+        &frame,
+        40 * 86_400,
+        6 * 3_600,
+        10,
+        1_800,
+        |s| acc.record(&s.domain, &s.stek_id, s.day),
+    );
+    let groups = acc.service_groups();
     println!("  {} groups; the five largest:", groups.len());
     for g in groups.iter().take(5) {
         println!("    {:<28} {} domains", g.label, g.size());

@@ -4,17 +4,27 @@
 
 use tls_shortcuts::attacker::passive::CapturedConnection;
 use tls_shortcuts::attacker::stek::decrypt_with_stolen_steks;
-use tls_shortcuts::core::lifetime::SpanEstimator;
-use tls_shortcuts::core::observations::KexKind;
+use tls_shortcuts::core::observations::{KexSighting, TicketSighting};
+use tls_shortcuts::core::stream::GroupAcc;
 use tls_shortcuts::crypto::drbg::HmacDrbg;
 use tls_shortcuts::population::{Population, PopulationConfig};
 use tls_shortcuts::scanner::crossdomain::{build_targets, stek_sharing_scan};
-use tls_shortcuts::scanner::daily::{run_campaign, CampaignOptions};
+use tls_shortcuts::scanner::daily::{run_campaign_streaming, CampaignOptions, CampaignSink};
 use tls_shortcuts::scanner::{GrabOptions, Scanner};
 use tls_shortcuts::tls::config::ClientConfig;
 use tls_shortcuts::tls::pump::pump_app_data;
+use ts_bench::exp_campaign::CampaignSpans;
 
 const DAY: u64 = 86_400;
+
+/// Run a daily campaign over `targets` and fold it into exact spans.
+fn campaign_spans(pop: &Population, label: &str, days: u64, targets: Vec<String>) -> CampaignSpans {
+    let mut scanner = Scanner::new(pop, label);
+    let options = CampaignOptions::new().days(0..days);
+    let mut spans = CampaignSpans::default();
+    run_campaign_streaming(&mut scanner, &options, move |_| targets.clone(), &mut spans);
+    spans
+}
 
 fn world(seed: u64, size: usize, days: u64) -> Population {
     let mut cfg = PopulationConfig::new(seed, size);
@@ -27,14 +37,9 @@ fn world(seed: u64, size: usize, days: u64) -> Population {
 fn campaign_spans_match_ground_truth_for_every_measured_domain() {
     let pop = world(100, 500, 12);
     let core = pop.core_trusted();
-    let mut scanner = Scanner::new(&pop, "e2e-campaign");
-    let options = CampaignOptions::new().days(0..12);
-    let targets = core.clone();
-    let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
-
-    let mut stek = SpanEstimator::new();
-    stek.record_tickets(&data.tickets);
-    let spans = stek.domain_spans();
+    let spans = campaign_spans(&pop, "e2e-campaign", 12, core)
+        .stek
+        .domain_spans();
     let mut static_checked = 0;
     let mut daily_checked = 0;
     for (domain, ds) in &spans {
@@ -75,12 +80,7 @@ fn campaign_spans_match_ground_truth_for_every_measured_domain() {
 fn kex_reuse_detected_only_where_configured() {
     let pop = world(101, 500, 8);
     let core = pop.core_trusted();
-    let mut scanner = Scanner::new(&pop, "e2e-kex");
-    let options = CampaignOptions::new().days(0..8);
-    let targets = core.clone();
-    let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
-    let mut ecdhe = SpanEstimator::new();
-    ecdhe.record_kex(&data.kex, KexKind::Ecdhe);
+    let ecdhe = campaign_spans(&pop, "e2e-kex", 8, core).ecdhe;
     for (domain, ds) in ecdhe.domain_spans() {
         let truth = pop.truth.get(&domain).expect("truth");
         let configured = truth.ecdhe_reuse.unwrap_or(0);
@@ -107,7 +107,11 @@ fn stek_groups_match_configured_units() {
     let scanner = Scanner::new(&pop, "e2e-groups");
     let frame = build_targets(&scanner, &core);
     let mut scanner = scanner;
-    let (groups, _) = stek_sharing_scan(&mut scanner, &frame, 9_000, 6 * 3_600, 6, 1_800);
+    let mut acc = GroupAcc::exact();
+    stek_sharing_scan(&mut scanner, &frame, 9_000, 6 * 3_600, 6, 1_800, |s| {
+        acc.record(&s.domain, &s.stek_id, s.day)
+    });
+    let groups = acc.service_groups();
     // Every multi-domain group must correspond to one configured STEK unit.
     let mut multi_checked = 0;
     for g in groups.iter().filter(|g| g.size() >= 2) {
@@ -178,19 +182,29 @@ fn full_pipeline_capture_to_decryption() {
 
 #[test]
 fn whole_study_is_deterministic() {
+    /// Every sighting of a run, in observation order.
+    #[derive(Default)]
+    struct Log(Vec<String>);
+
+    impl CampaignSink for Log {
+        fn ticket(&mut self, t: TicketSighting) {
+            self.0.push(format!("{}:{}:{}", t.domain, t.day, t.stek_id));
+        }
+
+        fn kex(&mut self, k: KexSighting) {
+            self.0
+                .push(format!("{}:{}:{:?}:{}", k.domain, k.day, k.kex, k.value_fp));
+        }
+    }
+
     let run = || {
         let pop = world(104, 300, 4);
         let core = pop.core_trusted();
         let mut scanner = Scanner::new(&pop, "e2e-det");
         let options = CampaignOptions::new().days(0..4);
-        let targets = core.clone();
-        let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
-        let mut tickets = data.tickets;
-        tickets.sort_by(|a, b| (&a.domain, a.day).cmp(&(&b.domain, b.day)));
-        tickets
-            .iter()
-            .map(|t| format!("{}:{}:{}", t.domain, t.day, t.stek_id))
-            .collect::<Vec<_>>()
+        let mut log = Log::default();
+        run_campaign_streaming(&mut scanner, &options, move |_| core.clone(), &mut log);
+        log.0
     };
     assert_eq!(run(), run(), "identical seeds → identical observations");
 }
@@ -207,13 +221,11 @@ fn blacklisted_domains_never_scanned() {
     if blacklisted.is_empty() {
         return; // seed produced no blacklist entries at this size
     }
-    let mut scanner = Scanner::new(&pop, "e2e-blacklist");
-    let options = CampaignOptions::new().days(0..3);
-    let targets = blacklisted.clone();
-    let data = run_campaign(&mut scanner, &options, move |_| targets.clone());
-    assert!(
-        data.tickets.is_empty(),
+    let spans = campaign_spans(&pop, "e2e-blacklist", 3, blacklisted);
+    assert_eq!(
+        spans.stek.pair_count(),
+        0,
         "no observations from blacklisted domains"
     );
-    assert!(data.kex.is_empty());
+    assert_eq!(spans.dhe.pair_count() + spans.ecdhe.pair_count(), 0);
 }
