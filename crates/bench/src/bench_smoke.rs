@@ -116,8 +116,7 @@ fn rate(count: u64, secs: f64) -> String {
 const REC_BUF: usize = 16 * 1024;
 /// Iterations per record-layer probe: 1 MiB of traffic each.
 const REC_ITERS: u64 = 64;
-/// Scalar-multiplication count for the X25519 probes (multiple of 4 so the
-/// batched probe runs whole batches).
+/// Operation count for the X25519 and DHE modpow probes.
 const KEX_OPS: u64 = 16;
 /// Exponentiation pairs for the Straus multi-exponentiation probe.
 const STRAUS_PAIRS: u64 = 8;
@@ -191,10 +190,9 @@ fn record_layer_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     ]
 }
 
-/// Batched-vs-serial asymmetric probes: X25519 public-key derivation
-/// (serial ladder vs the 4-way interleaved ladder) and DHE server-side
-/// exponentiation (per-exponent `modpow` vs the shared-table
-/// `modpow_batch`, plus Straus `multi_modpow` vs a serial product).
+/// Asymmetric key-exchange probes: X25519 public-key derivation, DHE
+/// server-side exponentiation, and Straus `multi_modpow` against the
+/// serial product it replaces.
 fn batch_kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
     use ts_crypto::bignum::Ub;
     let secrets: Vec<[u8; 32]> = (0..KEX_OPS)
@@ -220,19 +218,10 @@ fn batch_kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
                 std::hint::black_box(ts_crypto::x25519::public_key(s));
             }
         }),
-        kex_probe("x25519_batch4", KEX_OPS, now_nanos, || {
-            for quad in secrets.chunks_exact(4) {
-                let lanes: [[u8; 32]; 4] = quad.try_into().expect("chunked by 4");
-                std::hint::black_box(ts_crypto::x25519::public_key_batch4(&lanes));
-            }
-        }),
         kex_probe("dhe_modpow_serial", KEX_OPS, now_nanos, || {
             for e in &exps {
                 std::hint::black_box(mont.modpow(g, e));
             }
-        }),
-        kex_probe("dhe_modpow_batch", KEX_OPS, now_nanos, || {
-            std::hint::black_box(mont.modpow_batch(g, &exps));
         }),
         kex_probe("straus_serial_product", STRAUS_PAIRS, now_nanos, || {
             let mut acc = Ub::one();
@@ -260,7 +249,8 @@ fn batch_kex_probes(now_nanos: &dyn Fn() -> u64) -> Vec<String> {
 /// `mont_cache_hits`) and the measured `handshakes_per_sec` /
 /// `modexps_per_sec`; `record_layer[]` compares the CPU-dispatched AEAD
 /// kernels against their in-binary scalar references; `batch_kex[]`
-/// compares batched against serial asymmetric kernels; `totals`
+/// times the serial asymmetric kernels and Straus multi-exponentiation
+/// against the serial product it batches; `totals`
 /// aggregates across families.
 pub fn run(now_nanos: &dyn Fn() -> u64) -> String {
     let w = smoke_world();
@@ -294,7 +284,7 @@ pub fn run(now_nanos: &dyn Fn() -> u64) -> String {
             rate(modexps, secs),
         ));
     }
-    // Record-layer and batched-kex probes run after the suite loop so
+    // Record-layer and key-exchange probes run after the suite loop so
     // their modexp/counter traffic can't perturb the per-suite deltas
     // pinned against BENCH_5.json.
     let record_lines = record_layer_probes(now_nanos);
@@ -338,9 +328,7 @@ mod tests {
             "chacha20_xor",
             "chacha20_xor_portable",
             "x25519_serial",
-            "x25519_batch4",
             "dhe_modpow_serial",
-            "dhe_modpow_batch",
             "straus_serial_product",
             "straus_multi_modpow",
         ] {

@@ -6,7 +6,7 @@ use ts_core::groups::{stats, top_groups, ServiceGroup};
 use ts_core::report::{compare_line, fmt_duration, pct, TextTable};
 use ts_core::treemap::{build_cells, red_cells, LongevityBucket};
 use ts_scanner::crossdomain::{
-    build_targets, dh_sharing_scan, session_cache_scan_streaming, stek_sharing_scan,
+    build_targets, dh_sharing_scan, session_cache_scan, stek_sharing_scan,
 };
 use ts_scanner::Scanner;
 
@@ -60,14 +60,7 @@ pub fn table5_cache_groups(ctx: &Context) -> SharingResult {
         for t in chunk {
             ds.add(&t.domain);
         }
-        session_cache_scan_streaming(
-            &mut scanner,
-            chunk,
-            86_400,
-            5,
-            |_| {},
-            |e| ds.union(&e.a, &e.b),
-        );
+        session_cache_scan(&mut scanner, chunk, 86_400, 5, |e| ds.union(&e.a, &e.b));
         vec![ds]
     });
     let mut ds = ts_core::unionfind::DisjointSets::new();

@@ -728,26 +728,6 @@ impl Montgomery {
         self.modpow_with_table(&table, exp, &mut scratch, &mut operand)
     }
 
-    /// Several exponentiations of the *same* base: `base^e mod n` for each
-    /// `e` in `exps`.
-    ///
-    /// The 16-entry window table costs 15 Montgomery multiplies to build;
-    /// a batch pays that once instead of once per exponent, which is the
-    /// dominant fixed cost for the short exponents in the simulation's DH
-    /// groups. Results are bit-identical to serial [`Montgomery::modpow`]
-    /// calls (same table, same window walk).
-    pub fn modpow_batch(&self, base: &Ub, exps: &[Ub]) -> Vec<Ub> {
-        let mut scratch = vec![0u64; self.scratch_len()];
-        let table = self.build_window_table(base, &mut scratch);
-        let mut operand = vec![0u64; self.width];
-        exps.iter()
-            .map(|exp| {
-                MODEXP_TOTAL.inc();
-                self.modpow_with_table(&table, exp, &mut scratch, &mut operand)
-            })
-            .collect()
-    }
-
     /// Straus/Shamir multi-exponentiation: `∏ gᵢ^eᵢ mod n` in one pass.
     ///
     /// All factors share a single squaring chain — each 4-bit window
@@ -1187,29 +1167,6 @@ mod tests {
                 }
             }
             assert_eq!(mont.modpow(&base, &exp), reference);
-        }
-    }
-
-    #[test]
-    fn modpow_batch_matches_serial() {
-        // The shared-table batch against one modpow per exponent, over
-        // exponents of very different lengths (including zero).
-        let mut fill = fill_counter();
-        let m = Ub::from_hex("ffffffffffffffffffffffffffffff61");
-        let mont = Montgomery::new(&m);
-        let mut bbuf = [0u8; 16];
-        fill(&mut bbuf);
-        let base = Ub::from_bytes_be(&bbuf);
-        let mut exps = vec![Ub::zero(), Ub::one(), Ub::from_u64(65537)];
-        for _ in 0..5 {
-            let mut ebuf = [0u8; 16];
-            fill(&mut ebuf);
-            exps.push(Ub::from_bytes_be(&ebuf));
-        }
-        let batched = mont.modpow_batch(&base, &exps);
-        assert_eq!(batched.len(), exps.len());
-        for (e, got) in exps.iter().zip(&batched) {
-            assert_eq!(got, &mont.modpow(&base, e), "exp {}", e.to_hex());
         }
     }
 

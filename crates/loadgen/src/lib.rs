@@ -180,17 +180,6 @@ impl LoadgenReport {
         self.work.handshakes as f64 / self.elapsed_secs
     }
 
-    /// Throughput this run would sustain with every worker on its own
-    /// core: total work divided by the busiest worker's busy time. On a
-    /// host with fewer cores than workers, wall throughput degrades to
-    /// serial while this stays flat-to-rising — report both.
-    pub fn modeled_ideal_core_hs_per_sec(&self) -> f64 {
-        if self.max_worker_busy_secs <= 0.0 {
-            return 0.0;
-        }
-        self.work.handshakes as f64 / self.max_worker_busy_secs
-    }
-
     /// Render as JSON (schema `loadgen/v1`). The `work` object is
     /// deterministic; everything under `measured` carries wall time.
     pub fn to_json(&self) -> String {
@@ -206,7 +195,7 @@ impl LoadgenReport {
              \"app_bytes\": {}}},\n  \
              \"measured\": {{\"elapsed_secs\": {:.3}, \"handshakes_per_sec\": {:.1}, \
              \"max_worker_busy_secs\": {:.3}, \"total_busy_secs\": {:.3}, \
-             \"modeled_ideal_core_hs_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}\n}}",
+             \"p50_us\": {}, \"p99_us\": {}}}\n}}",
             self.config.workers,
             self.config.targets,
             self.config.requests_per_worker,
@@ -226,7 +215,6 @@ impl LoadgenReport {
             self.handshakes_per_sec(),
             self.max_worker_busy_secs,
             self.total_busy_secs,
-            self.modeled_ideal_core_hs_per_sec(),
             fmt_opt(self.p50_us),
             fmt_opt(self.p99_us),
         )

@@ -9,7 +9,6 @@
 
 use crate::grab::{GrabOptions, Scanner, SuiteOffer};
 use std::collections::BTreeMap;
-use ts_core::groups::{self, ServiceGroup};
 use ts_core::observations::{KexKind, KexSighting, SharingEdge, SharingKind, TicketSighting};
 use ts_simnet::Ip;
 use ts_tls::server::ResumeKind;
@@ -45,38 +44,17 @@ pub fn build_targets(scanner: &Scanner, domains: &[String]) -> Vec<Target> {
         .collect()
 }
 
-/// §5.1: cross-domain session-ID probing. Returns the resulting service
-/// groups plus the raw sharing edges.
-pub fn session_cache_groups(
+/// §5.1: cross-domain session-ID probing. For each target that resumes
+/// its own session, offer that session to up to `per_domain_samples`
+/// AS-mates and as many IP-mates; `on_edge` fires once per observed
+/// cross-domain resumption. Grouping domains by these edges is left to
+/// the caller (a union-find, or
+/// [`groups_from_edges`](ts_core::groups::groups_from_edges)).
+pub fn session_cache_scan(
     scanner: &mut Scanner,
     targets: &[Target],
     now: u64,
     per_domain_samples: usize,
-) -> (Vec<ServiceGroup>, Vec<SharingEdge>) {
-    let mut edges = Vec::new();
-    let mut resuming: Vec<String> = Vec::new();
-    session_cache_scan_streaming(
-        scanner,
-        targets,
-        now,
-        per_domain_samples,
-        |d| resuming.push(d.to_string()),
-        |e| edges.push(e),
-    );
-    let groups = groups::groups_from_edges(resuming.iter().map(|s| s.as_str()), &edges);
-    (groups, edges)
-}
-
-/// §5.1 streaming form: `on_resuming` fires once per domain that resumes
-/// its own session (the grouping universe), `on_edge` once per observed
-/// cross-domain resumption. Probe order is identical to
-/// [`session_cache_groups`], which is now this plus a collector.
-pub fn session_cache_scan_streaming(
-    scanner: &mut Scanner,
-    targets: &[Target],
-    now: u64,
-    per_domain_samples: usize,
-    mut on_resuming: impl FnMut(&str),
     mut on_edge: impl FnMut(SharingEdge),
 ) {
     // Index by AS and by IP. Ordered maps: `take(N)` below samples the
@@ -108,7 +86,6 @@ pub fn session_cache_scan_streaming(
         if !self_resumes {
             continue;
         }
-        on_resuming(&t.domain);
 
         // Candidate siblings: up to N from the same AS, up to N on the
         // same IP (deduplicated, self excluded).
@@ -238,6 +215,7 @@ pub fn dh_sharing_scan(
 mod tests {
     use super::*;
     use std::sync::OnceLock;
+    use ts_core::groups::groups_from_edges;
     use ts_core::stream::GroupAcc;
     use ts_population::{Population, PopulationConfig};
 
@@ -287,7 +265,9 @@ mod tests {
         let domains = operator_domains(p, "fastlane", 4);
         assert!(domains.len() >= 2, "need at least 2 fastlane domains");
         let targets = build_targets(&mut s, &domains);
-        let (groups, edges) = session_cache_groups(&mut s, &targets, 9_000, 5);
+        let mut edges = Vec::new();
+        session_cache_scan(&mut s, &targets, 9_000, 5, |e| edges.push(e));
+        let groups = groups_from_edges(targets.iter().map(|t| t.domain.as_str()), &edges);
         assert!(!edges.is_empty(), "cross-domain resumption observed");
         assert_eq!(groups[0].size(), domains.len(), "one big group");
     }
@@ -298,7 +278,9 @@ mod tests {
         let mut s = Scanner::new(p, "xd-separate");
         let domains = vec!["yahoo.sim".to_string(), "netflix.sim".to_string()];
         let targets = build_targets(&mut s, &domains);
-        let (groups, edges) = session_cache_groups(&mut s, &targets, 9_000, 5);
+        let mut edges = Vec::new();
+        session_cache_scan(&mut s, &targets, 9_000, 5, |e| edges.push(e));
+        let groups = groups_from_edges(targets.iter().map(|t| t.domain.as_str()), &edges);
         assert!(edges.is_empty());
         assert!(groups.iter().all(|g| g.size() == 1));
     }

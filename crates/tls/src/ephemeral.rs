@@ -66,12 +66,6 @@ struct EphemeralCacheInner {
     dh_group: DhGroup,
     dhe: Option<CachedDhe>,
     ecdhe: Option<CachedEcdhe>,
-    // Pre-generated X25519 keypairs, in draw order (front = next). Only
-    // filled under `FreshPerHandshake`, where every handshake in a
-    // campaign burst pays a full Montgomery ladder: the batched 4-way
-    // ladder amortises that. Keys come off the same DRBG in the same
-    // order as serial generation, so pops are bit-identical to it.
-    ecdhe_pool: std::collections::VecDeque<Arc<X25519KeyPair>>,
     rng: HmacDrbg,
     dhe_generations: u64,
     ecdhe_generations: u64,
@@ -103,7 +97,6 @@ impl EphemeralCache {
             dh_group,
             dhe: None,
             ecdhe: None,
-            ecdhe_pool: std::collections::VecDeque::new(),
             rng,
             dhe_generations: 0,
             ecdhe_generations: 0,
@@ -151,22 +144,9 @@ impl EphemeralCache {
             .map(|c| inner.ecdhe_policy.still_valid(c.created_at, now))
             .unwrap_or(false);
         if !reuse {
-            // Fresh-per-handshake churn goes through the 4-way batched
-            // ladder; generations count pops (values actually used), and
-            // the popped value lands in `ecdhe` so `steal()` still sees
-            // the live keypair. Reuse policies regenerate rarely and keep
-            // the serial path (no pre-drawn secrets sitting in memory).
-            let kp = if inner.ecdhe_policy == EphemeralPolicy::FreshPerHandshake {
-                if inner.ecdhe_pool.is_empty() {
-                    let batch = X25519KeyPair::generate_batch4(&mut inner.rng);
-                    inner.ecdhe_pool.extend(batch.into_iter().map(Arc::new));
-                }
-                inner.ecdhe_pool.pop_front().expect("just refilled")
-            } else {
-                Arc::new(X25519KeyPair::generate(&mut inner.rng))
-            };
+            let kp = X25519KeyPair::generate(&mut inner.rng);
             inner.ecdhe = Some(CachedEcdhe {
-                keypair: kp,
+                keypair: Arc::new(kp),
                 created_at: now,
             });
             inner.ecdhe_generations += 1;
@@ -218,24 +198,24 @@ mod tests {
     }
 
     #[test]
-    fn fresh_ecdhe_pool_matches_serial_draw_order() {
-        // The batched pool must hand out exactly the keys a serial
-        // `generate` loop would have drawn from the same DRBG, in the
-        // same order, and `steal()` must see the most recent pop.
-        let c = cache(EphemeralPolicy::FreshPerHandshake, b"pool-order");
-        let mut reference = HmacDrbg::new(b"pool-order");
-        let expected = X25519KeyPair::generate_batch4(&mut reference);
-        for (i, exp) in expected.iter().enumerate() {
-            let got = c.ecdhe_keypair(0);
-            assert_eq!(got.public, exp.public, "lane {i}");
-            assert_eq!(c.ecdhe_generations(), (i + 1) as u64);
-            let (_, stolen) = c.steal();
-            assert_eq!(stolen.expect("cached").keypair.public, exp.public);
-        }
-        // A fifth call triggers a refill; it must still be fresh.
-        let fifth = c.ecdhe_keypair(0);
-        assert!(expected.iter().all(|e| e.public != fifth.public));
-        assert_eq!(c.ecdhe_generations(), 5);
+    fn fresh_values_are_drawn_on_demand_in_handshake_order() {
+        // Under `FreshPerHandshake` nothing is drawn ahead of the
+        // handshake that uses it: interleaved DHE and ECDHE requests take
+        // their secrets off the DRBG in request order, and `steal()` sees
+        // only the value in use.
+        let c = cache(EphemeralPolicy::FreshPerHandshake, b"on-demand");
+        let mut reference = HmacDrbg::new(b"on-demand");
+        let want_ecdhe1 = X25519KeyPair::generate(&mut reference);
+        let want_dhe = DhKeyPair::generate(DhGroup::Sim256, &mut reference);
+        let want_ecdhe2 = X25519KeyPair::generate(&mut reference);
+
+        assert_eq!(c.ecdhe_keypair(0).public, want_ecdhe1.public);
+        assert_eq!(c.dhe_keypair(0).public, want_dhe.public, "DHE drawn next");
+        assert_eq!(c.ecdhe_keypair(0).public, want_ecdhe2.public);
+        assert_eq!(c.ecdhe_generations(), 2);
+        assert_eq!(c.dhe_generations(), 1);
+        let (_, stolen) = c.steal();
+        assert_eq!(stolen.expect("cached").keypair.public, want_ecdhe2.public);
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn parse_args() -> Args {
                      --telemetry-wall: include wall-flagged perf metrics (domains/sec, \
                      peak RSS) in the telemetry JSON — no longer byte-identical\n\
                      --bench-smoke: skip experiments; print handshake/modexp \
-                     throughput JSON (schema bench-smoke/v1)"
+                     throughput JSON (schema bench-smoke/v2)"
                 );
                 std::process::exit(0);
             }
@@ -244,14 +244,13 @@ fn run_loadgen(argv: &[String]) -> ! {
     println!("{}", report.to_json());
     eprintln!(
         "[loadgen] {} handshakes ({} full, {} sid, {} ticket) with {} workers: \
-         {:.1} hs/s wall, {:.1} hs/s on ideal cores, p50 {:?}us p99 {:?}us",
+         {:.1} hs/s wall, p50 {:?}us p99 {:?}us",
         report.work.handshakes,
         report.work.full,
         report.work.resume_session_id,
         report.work.resume_ticket,
         cfg.workers,
         report.handshakes_per_sec(),
-        report.modeled_ideal_core_hs_per_sec(),
         report.p50_us,
         report.p99_us,
     );
