@@ -97,7 +97,9 @@ fn parse_direction(
         match record.content_type {
             ContentType::ChangeCipherSpec => after_ccs = true,
             ContentType::Handshake => {
-                reasm.feed(&record.payload);
+                reasm
+                    .feed(&record.payload)
+                    .map_err(|e| PassiveParseError::BadHandshake(e.to_string()))?;
                 loop {
                     // The CKE decoder needs the negotiated suite, which
                     // the caller learned from the peer's ServerHello.

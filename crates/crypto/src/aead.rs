@@ -130,10 +130,28 @@ pub fn cbc_hmac_open(
     aad: &[u8],
     sealed: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
+    let mut out = sealed.to_vec();
+    let plaintext = cbc_hmac_open_in_place(enc_key, mac_key, aad, &mut out)?;
+    out.truncate(plaintext.end);
+    out.drain(..plaintext.start);
+    Ok(out)
+}
+
+/// [`cbc_hmac_open`] in place: verify the tag, decrypt inside `sealed`
+/// and return the range of `sealed` that now holds the plaintext (after
+/// the IV, before the padding and tag). No copy of the plaintext is made
+/// outside `sealed`.
+pub fn cbc_hmac_open_in_place(
+    enc_key: &[u8; 16],
+    mac_key: &[u8; 32],
+    aad: &[u8],
+    sealed: &mut [u8],
+) -> Result<std::ops::Range<usize>, CryptoError> {
     if sealed.len() < 16 + 16 + 32 {
         return Err(CryptoError::BadLength("CBC+HMAC message too short"));
     }
-    let (body, tag) = sealed.split_at(sealed.len() - 32);
+    let body_end = sealed.len() - 32;
+    let (body, tag) = sealed.split_at(body_end);
     let mut mac_input = Vec::with_capacity(aad.len() + body.len());
     mac_input.extend_from_slice(aad);
     mac_input.extend_from_slice(body);
@@ -141,7 +159,8 @@ pub fn cbc_hmac_open(
         return Err(CryptoError::BadMac);
     }
     let iv: [u8; 16] = body[..16].try_into().expect("16 bytes");
-    cbc::decrypt(enc_key, &iv, &body[16..])
+    let len = cbc::decrypt_in_place(enc_key, &iv, &mut sealed[16..body_end])?;
+    Ok(16..16 + len)
 }
 
 #[cfg(test)]

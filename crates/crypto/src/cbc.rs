@@ -36,32 +36,42 @@ pub fn decrypt(
     iv: &[u8; BLOCK_LEN],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.is_empty() || ciphertext.len() % BLOCK_LEN != 0 {
+    let mut out = ciphertext.to_vec();
+    let len = decrypt_in_place(key, iv, &mut out)?;
+    out.truncate(len);
+    Ok(out)
+}
+
+/// [`decrypt`] in place: the plaintext overwrites the ciphertext and its
+/// length (without padding) is returned, so no copy of the plaintext is
+/// made outside `data`.
+pub fn decrypt_in_place(
+    key: &[u8; KEY_LEN],
+    iv: &[u8; BLOCK_LEN],
+    data: &mut [u8],
+) -> Result<usize, CryptoError> {
+    if data.is_empty() || !data.len().is_multiple_of(BLOCK_LEN) {
         return Err(CryptoError::BadLength("CBC ciphertext not block-aligned"));
     }
     let cipher = Aes128::new(key);
-    let mut out = Vec::with_capacity(ciphertext.len());
     let mut prev = *iv;
-    for chunk in ciphertext.chunks_exact(BLOCK_LEN) {
-        let mut block = [0u8; BLOCK_LEN];
-        block.copy_from_slice(chunk);
-        let saved = block;
+    for chunk in data.chunks_exact_mut(BLOCK_LEN) {
+        let saved: [u8; BLOCK_LEN] = (*chunk).try_into().expect("one block");
+        let mut block = saved;
         cipher.decrypt_block(&mut block);
         for i in 0..BLOCK_LEN {
-            block[i] ^= prev[i];
+            chunk[i] = block[i] ^ prev[i];
         }
-        out.extend_from_slice(&block);
         prev = saved;
     }
-    let pad = *out.last().expect("non-empty") as usize;
-    if pad == 0 || pad > BLOCK_LEN || pad > out.len() {
+    let pad = *data.last().expect("non-empty") as usize;
+    if pad == 0 || pad > BLOCK_LEN || pad > data.len() {
         return Err(CryptoError::BadPadding);
     }
-    if out[out.len() - pad..].iter().any(|&b| b as usize != pad) {
+    if data[data.len() - pad..].iter().any(|&b| b as usize != pad) {
         return Err(CryptoError::BadPadding);
     }
-    out.truncate(out.len() - pad);
-    Ok(out)
+    Ok(data.len() - pad)
 }
 
 #[cfg(test)]

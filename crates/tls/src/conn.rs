@@ -12,10 +12,20 @@
 //! This is the rustls-style inversion: one buffering core, two thin
 //! protocol "sides" (a `Side` implementation per role) that only ever
 //! see whole handshake messages. The outgoing buffer is persistent — a
-//! drain cursor, not a fresh `Vec` per flight — so a load generator
-//! driving millions of handshakes does not churn the allocator.
+//! drain cursor, not a fresh `Vec` per flight.
+//!
+//! The three buffers that grow with the traffic — the record layer's
+//! reassembly buffer, the outgoing buffer and the received application
+//! data — are also recycled across connections: each comes from a small
+//! per-thread free list when the connection is built and goes back to it,
+//! zeroed over the bytes it held, when the connection drops. A scanner or
+//! load generator that opens a fresh connection per probe therefore reuses
+//! the same few buffers instead of making the allocator return them to the
+//! kernel and fault them in again. [`ConnectionCommon::recv_app_data`]
+//! hands out a copy, so the receive buffer stays with the connection.
 
 use crate::alert::{Alert, AlertDescription};
+use crate::bufpool::PooledBuf;
 use crate::error::TlsError;
 use crate::keys::{ConnectionKeys, Transcript};
 use crate::suites::CipherSuite;
@@ -72,7 +82,7 @@ pub struct ConnectionCommon {
     // Outgoing wire bytes: anything here is already on the network.
     // Persistent across flights; `out_pos` is the drain cursor.
     // ctlint: public
-    out: Vec<u8>,
+    out: PooledBuf,
     out_pos: usize,
     pub(crate) status: Status,
     pub(crate) suite: Option<CipherSuite>,
@@ -83,7 +93,9 @@ pub struct ConnectionCommon {
     pub(crate) server_random: [u8; 32],
     pub(crate) master: Option<[u8; 48]>,
     pub(crate) pending_keys: PendingKeys,
-    pub(crate) app_in: Vec<u8>,
+    // Decrypted application data. A pooled buffer, zeroed on release.
+    // ctlint: secret
+    pub(crate) app_in: PooledBuf,
 }
 
 impl ConnectionCommon {
@@ -92,7 +104,7 @@ impl ConnectionCommon {
             records: RecordLayer::new(),
             reasm: HandshakeReassembler::new(),
             transcript: Transcript::new(),
-            out: Vec::new(),
+            out: PooledBuf::take(),
             out_pos: 0,
             status: Status::Handshaking,
             suite: None,
@@ -100,7 +112,7 @@ impl ConnectionCommon {
             server_random: [0; 32],
             master: None,
             pending_keys: PendingKeys::default(),
-            app_in: Vec::new(),
+            app_in: PooledBuf::take(),
         }
     }
 
@@ -120,7 +132,9 @@ impl ConnectionCommon {
     ///
     /// Performs exactly one `write` on `wr` and advances the drain
     /// cursor by the amount accepted. The underlying buffer is reused —
-    /// once fully drained it is cleared in place, keeping its capacity.
+    /// once fully drained it is cleared in place, keeping its capacity —
+    /// and when the connection drops it returns, zeroed, to this thread's
+    /// buffer pool for the next connection.
     pub fn write_tls(&mut self, wr: &mut dyn io::Write) -> io::Result<usize> {
         let pending = &self.out[self.out_pos..];
         if pending.is_empty() {
@@ -165,8 +179,15 @@ impl ConnectionCommon {
     }
 
     /// Take decrypted application data received so far.
+    ///
+    /// Returns an exact-size copy and clears the receive buffer in place:
+    /// the buffer keeps its capacity and, when the connection drops,
+    /// returns zeroed to this thread's buffer pool rather than leaving
+    /// with the caller.
     pub fn recv_app_data(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.app_in)
+        let data = self.app_in.to_vec();
+        self.app_in.clear();
+        data
     }
 
     /// The running handshake-transcript hash (cleartext-derived; used by
@@ -296,7 +317,9 @@ pub(crate) fn process<S: Side + ?Sized>(
         };
         match content_type {
             ContentType::Handshake => {
-                common.reasm.feed(payload);
+                if let Err(e) = common.reasm.feed(payload) {
+                    return fail_conn(common, side, e, AlertDescription::DecodeError);
+                }
                 loop {
                     let hint = common.suite;
                     match common.reasm.next(hint) {

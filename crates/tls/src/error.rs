@@ -30,6 +30,12 @@ pub enum TlsError {
     ConnectionClosed,
     /// Handshake API used out of order (e.g. app data before completion).
     NotReady,
+    /// A handshake message header declared a body longer than
+    /// [`crate::wire::handshake::MAX_HANDSHAKE_LEN`].
+    HandshakeTooLong {
+        /// The body length the header declared.
+        declared: usize,
+    },
 }
 
 impl From<CryptoError> for TlsError {
@@ -58,6 +64,11 @@ impl std::fmt::Display for TlsError {
             TlsError::BadFinished => write!(f, "Finished verification failed"),
             TlsError::ConnectionClosed => write!(f, "connection closed"),
             TlsError::NotReady => write!(f, "operation before handshake completion"),
+            TlsError::HandshakeTooLong { declared } => write!(
+                f,
+                "handshake message declares {declared} bytes, above the {} limit",
+                crate::wire::handshake::MAX_HANDSHAKE_LEN
+            ),
         }
     }
 }

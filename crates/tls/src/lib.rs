@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod alert;
+mod bufpool;
 pub mod cache;
 pub mod client;
 pub mod config;

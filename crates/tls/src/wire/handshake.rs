@@ -576,6 +576,15 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Largest handshake message body the reassembler accepts, in bytes.
+///
+/// The 24-bit length field would let a peer declare up to 16 MiB. The
+/// largest message the simulated population sends is the Certificate
+/// message of a two-certificate chain, about 700 bytes with 512-bit keys,
+/// so 16 KiB leaves a wide margin; a test over a built population keeps
+/// the margin at least fourfold.
+pub const MAX_HANDSHAKE_LEN: usize = 16_384;
+
 /// Incremental reassembler for handshake messages arriving via records.
 #[derive(Default)]
 pub struct HandshakeReassembler {
@@ -589,8 +598,23 @@ impl HandshakeReassembler {
     }
 
     /// Append record payload bytes.
-    pub fn feed(&mut self, data: &[u8]) {
+    ///
+    /// Every message header is checked as soon as its four bytes are
+    /// buffered: a declared body above [`MAX_HANDSHAKE_LEN`] fails with
+    /// [`TlsError::HandshakeTooLong`] before any of that body is kept, and
+    /// the buffer is emptied.
+    pub fn feed(&mut self, data: &[u8]) -> Result<(), TlsError> {
         self.buf.extend_from_slice(data);
+        let mut at = 0;
+        while let Some(header) = self.buf.get(at..at + 4) {
+            let declared = get_u24(&header[1..]);
+            if declared > MAX_HANDSHAKE_LEN {
+                self.buf.clear();
+                return Err(TlsError::HandshakeTooLong { declared });
+            }
+            at += 4 + declared;
+        }
+        Ok(())
     }
 
     /// Pop the next complete message, if any.
@@ -804,7 +828,7 @@ mod tests {
         let mut r = HandshakeReassembler::new();
         // Feed in awkward chunks.
         for chunk in all.chunks(3) {
-            r.feed(chunk);
+            r.feed(chunk).unwrap();
         }
         assert_eq!(
             r.next(None).unwrap().unwrap(),
@@ -817,6 +841,29 @@ mod tests {
             })
         );
         assert!(r.next(None).unwrap().is_none());
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn reassembler_refuses_oversize_declared_length_at_the_header() {
+        let mut r = HandshakeReassembler::new();
+        // A ServerHelloDone with a body of exactly the cap is accepted
+        // (its decode fails later, but the reassembler buffers it).
+        let cap = MAX_HANDSHAKE_LEN as u32;
+        let at_cap = [14, (cap >> 16) as u8, (cap >> 8) as u8, cap as u8];
+        assert_eq!(r.feed(&at_cap), Ok(()));
+        assert_eq!(r.feed(&vec![0; MAX_HANDSHAKE_LEN]), Ok(()));
+        // A second message declaring one byte more fails on its header,
+        // and nothing stays buffered.
+        let over = cap + 1;
+        let header = [14, (over >> 16) as u8, (over >> 8) as u8, over as u8];
+        assert_eq!(r.feed(&header[..3]), Ok(()));
+        assert_eq!(
+            r.feed(&header[3..]),
+            Err(TlsError::HandshakeTooLong {
+                declared: MAX_HANDSHAKE_LEN + 1
+            })
+        );
         assert!(r.is_empty());
     }
 

@@ -7,6 +7,7 @@
 //! when its keys are installed; records are sealed straight into the
 //! caller's output buffer and opened in place in the reassembly buffer.
 
+use crate::bufpool::PooledBuf;
 use crate::error::TlsError;
 use crate::suites::RecordProtection;
 use ts_crypto::aead;
@@ -202,7 +203,8 @@ impl RecordCipher {
     }
 
     /// Verify and decrypt one record body in place, returning the
-    /// plaintext as a prefix of `body`.
+    /// plaintext as a subslice of `body`: no copy of it is made outside
+    /// the reassembly buffer.
     fn open_in_place<'a>(
         &self,
         seq: u64,
@@ -221,11 +223,9 @@ impl RecordCipher {
             RecordCipher::CbcHmacSha256 {
                 enc_key, mac_key, ..
             } => {
-                // The plaintext is shorter than the body (IV, padding and
-                // MAC are stripped), so it always fits back in place.
-                let pt = aead::cbc_hmac_open(enc_key, mac_key, &aad, body)?;
-                body[..pt.len()].copy_from_slice(&pt);
-                return Ok(&body[..pt.len()]);
+                // Decrypted in place, between the IV and the padding.
+                let plaintext = aead::cbc_hmac_open_in_place(enc_key, mac_key, &aad, body)?;
+                return Ok(&body[plaintext]);
             }
         }
         // Both AEADs leave the plaintext in front of their 16-byte tag.
@@ -278,9 +278,10 @@ const HEADER_LEN: usize = 5;
 /// Framing plus optional protection for one connection end.
 pub struct RecordLayer {
     // Reassembly buffer of raw transport bytes — by definition what the
-    // network already carried. Records are decrypted in place here.
+    // network already carried. Records are decrypted in place here, so it
+    // comes from the thread's buffer pool, which zeroes it on release.
     // ctlint: public
-    incoming: Vec<u8>,
+    incoming: PooledBuf,
     /// Start of the first unconsumed byte of `incoming`.
     read_pos: usize,
     read_cipher: Option<RecordCipher>,
@@ -299,7 +300,7 @@ impl RecordLayer {
     /// Fresh unprotected record layer.
     pub fn new() -> Self {
         RecordLayer {
-            incoming: Vec::new(),
+            incoming: PooledBuf::take(),
             read_pos: 0,
             read_cipher: None,
             write_cipher: None,

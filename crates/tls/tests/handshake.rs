@@ -484,6 +484,52 @@ fn dhe_value_reuse_visible_across_connections() {
     assert_ne!(publics[0], publics[1]);
 }
 
+/// A peer that declares a 2^24 - 1 byte ClientHello and sends it one
+/// byte per record is refused when the fourth header byte arrives, with
+/// a typed error and a fatal decode_error alert; nothing after that is
+/// read.
+#[test]
+fn oversize_handshake_refused_at_the_header_one_byte_per_record() {
+    use ts_tls::alert::{Alert, AlertDescription, AlertLevel};
+    use ts_tls::wire::record::{ContentType, RecordLayer};
+
+    let env = build_env();
+    let mut server = ServerConn::new(server_config(&env, b"oversize"), HmacDrbg::new(b"o"), 100);
+    let header = [1u8, 0xff, 0xff, 0xff];
+    let mut plain = RecordLayer::new();
+    for (i, &byte) in header.iter().chain(&[0u8; 8]).enumerate() {
+        let mut record = Vec::new();
+        plain.write_record(ContentType::Handshake, &[byte], &mut record);
+        let mut rd: &[u8] = &record;
+        while !rd.is_empty() {
+            server.read_tls(&mut rd).unwrap();
+        }
+        let result = server.process_new_packets();
+        match i {
+            0..=2 => assert!(result.is_ok(), "byte {i}: {result:?}"),
+            3 => assert_eq!(
+                result.unwrap_err(),
+                TlsError::HandshakeTooLong {
+                    declared: (1 << 24) - 1
+                }
+            ),
+            _ => assert_eq!(result.unwrap_err(), TlsError::ConnectionClosed),
+        }
+    }
+    let mut wire = Vec::new();
+    while server.wants_write() {
+        server.write_tls(&mut wire).unwrap();
+    }
+    let mut reader = RecordLayer::new();
+    reader.feed(&wire);
+    let alert = reader.next_record().unwrap().unwrap();
+    assert_eq!(alert.content_type, ContentType::Alert);
+    let alert = Alert::decode(&alert.payload).unwrap();
+    assert_eq!(alert.level, AlertLevel::Fatal);
+    assert_eq!(alert.description, AlertDescription::DecodeError);
+    assert!(reader.next_record().unwrap().is_none(), "one alert only");
+}
+
 #[test]
 fn stek_identifier_visible_in_issued_tickets() {
     let env = build_env();

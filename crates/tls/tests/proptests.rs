@@ -173,7 +173,7 @@ proptest! {
         let mut reasm = HandshakeReassembler::new();
         let mut decoded = Vec::new();
         for piece in stream.chunks(chunk) {
-            reasm.feed(piece);
+            reasm.feed(piece).unwrap();
             while let Some(m) = reasm.next(None).unwrap() {
                 decoded.push(m);
             }

@@ -229,3 +229,49 @@ fn blacklisted_domains_never_scanned() {
     );
     assert_eq!(spans.dhe.pair_count() + spans.ecdhe.pair_count(), 0);
 }
+
+/// The handshake reassembler's cap is sized from the largest message the
+/// population sends: the Certificate message. Every served chain must
+/// fit with at least a fourfold margin, and the largest one must still
+/// complete a verified handshake.
+#[test]
+fn largest_population_chain_fits_the_handshake_cap() {
+    use tls_shortcuts::simnet::TlsResponder;
+    use tls_shortcuts::tls::pump::pump;
+    use tls_shortcuts::tls::wire::handshake::{
+        CertificateMsg, HandshakeMessage, MAX_HANDSHAKE_LEN,
+    };
+    use tls_shortcuts::tls::{ClientConn, ServerConn};
+
+    let pop = world(106, 800, 2);
+    let mut largest: Option<(usize, String, tls_shortcuts::tls::ServerConfig)> = None;
+    for terminator in &pop.terminators {
+        for domain in terminator.domains() {
+            if domain.starts_with("*.") {
+                continue; // wildcard routing keys are not hostnames
+            }
+            let cfg = terminator.server_config(&domain, 0).expect("served domain");
+            let chain = cfg.identity.chain.iter().map(|c| c.der.clone()).collect();
+            let body = HandshakeMessage::Certificate(CertificateMsg { chain })
+                .encode()
+                .len()
+                - 4;
+            if largest.as_ref().map_or(true, |(len, _, _)| body > *len) {
+                largest = Some((body, domain, cfg));
+            }
+        }
+    }
+    let (body, domain, cfg) = largest.expect("the population serves domains");
+    assert!(
+        4 * body <= MAX_HANDSHAKE_LEN,
+        "{domain}: a {body}-byte Certificate message leaves under 4x margin below {MAX_HANDSHAKE_LEN}"
+    );
+    let mut client = ClientConn::new(
+        ClientConfig::new(pop.root_store.clone(), &domain, 0),
+        HmacDrbg::new(b"largest-chain-c"),
+    );
+    let mut server = ServerConn::new(cfg, HmacDrbg::new(b"largest-chain-s"), 0);
+    pump(&mut client, &mut server).expect("the largest chain handshakes");
+    assert!(client.is_established() && server.is_established());
+    assert_eq!(client.summary().unwrap().trust, Some(Ok(())));
+}
