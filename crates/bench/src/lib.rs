@@ -1,9 +1,9 @@
 //! # ts-bench — the experiment harness
 //!
 //! One function per paper artefact (Tables 1–7, Figures 1–8, the §7.2
-//! target analysis), shared between the `repro` binary and the Criterion
-//! benches. Every experiment runs against a seeded [`Context`] and returns
-//! both structured results and a rendered report with paper-vs-measured
+//! target analysis), called by the `repro` binary and by `perfbench/`.
+//! Every experiment runs against a seeded [`Context`] and returns both
+//! structured results and a rendered report with paper-vs-measured
 //! columns.
 //!
 //! The heavyweight scans (daily campaign, burst scans, probes) fan out
@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_smoke;
 pub mod exp_ablation;
 pub mod exp_campaign;
 pub mod exp_exposure;

@@ -728,59 +728,6 @@ impl Montgomery {
         self.modpow_with_table(&table, exp, &mut scratch, &mut operand)
     }
 
-    /// Straus/Shamir multi-exponentiation: `∏ gᵢ^eᵢ mod n` in one pass.
-    ///
-    /// All factors share a single squaring chain — each 4-bit window
-    /// position squares the accumulator four times *once*, then multiplies
-    /// in every base's table entry — so the squaring work (the bulk of an
-    /// exponentiation) is paid once instead of once per factor. The
-    /// per-base window lookups use the same constant-time full-table scan
-    /// as [`Montgomery::modpow`]. Counts one modexp per factor in
-    /// telemetry, since that is the serial work it replaces.
-    pub fn multi_modpow(&self, pairs: &[(Ub, Ub)]) -> Ub {
-        if pairs.is_empty() {
-            return Ub::one().rem(&self.n);
-        }
-        let mut scratch = vec![0u64; self.scratch_len()];
-        let tables: Vec<Vec<u64>> = pairs
-            .iter()
-            .map(|(base, _)| {
-                MODEXP_TOTAL.inc();
-                self.build_window_table(base, &mut scratch)
-            })
-            .collect();
-        let bits = pairs
-            .iter()
-            .map(|(_, e)| e.bit_len())
-            .max()
-            .expect("non-empty");
-        let windows = bits.div_ceil(WINDOW_BITS);
-        let mut result = self.r1.clone();
-        let mut operand = vec![0u64; self.width];
-        for w in (0..windows).rev() {
-            if w + 1 != windows {
-                for _ in 0..WINDOW_BITS {
-                    self.mont_sqr_assign(&mut result, &mut scratch);
-                }
-            }
-            for (table, (_, exp)) in tables.iter().zip(pairs.iter()) {
-                let mut win = 0u64;
-                for b in 0..WINDOW_BITS {
-                    win |= (exp.bit(w * WINDOW_BITS + b) as u64) << b;
-                }
-                self.ct_table_scan(table, win, &mut operand);
-                self.mont_mul_assign(&mut result, &operand, &mut scratch);
-            }
-        }
-        // Convert out of the Montgomery domain: multiply by plain 1.
-        operand.fill(0);
-        operand[0] = 1;
-        self.mont_mul_assign(&mut result, &operand, &mut scratch);
-        let mut out = Ub { limbs: result };
-        out.normalize();
-        out
-    }
-
     /// Build the fixed-window table for `base`: `table[w] = base^w` in
     /// Montgomery form, `table[0] = Montgomery(1)`.
     fn build_window_table(&self, base: &Ub, scratch: &mut [u64]) -> Vec<u64> {
@@ -1168,45 +1115,6 @@ mod tests {
             }
             assert_eq!(mont.modpow(&base, &exp), reference);
         }
-    }
-
-    #[test]
-    fn multi_modpow_matches_product_of_serial() {
-        // Straus against the serial product ∏ gᵢ^eᵢ mod n, with factor
-        // counts 0..4 and mixed exponent bit lengths.
-        let mut fill = fill_counter();
-        let m = Ub::from_hex("ffffffffffffffffffffffffffffff61");
-        let mont = Montgomery::new(&m);
-        for count in 0..=4 {
-            let mut pairs = Vec::new();
-            for i in 0..count {
-                let mut bbuf = [0u8; 16];
-                fill(&mut bbuf);
-                let mut ebuf = vec![0u8; 1 + 5 * i]; // widely varying lengths
-                fill(&mut ebuf);
-                pairs.push((Ub::from_bytes_be(&bbuf), Ub::from_bytes_be(&ebuf)));
-            }
-            let mut reference = Ub::one().rem(&m);
-            for (g, e) in &pairs {
-                reference = reference.mul_mod(&mont.modpow(g, e), &m);
-            }
-            assert_eq!(mont.multi_modpow(&pairs), reference, "count {count}");
-        }
-    }
-
-    #[test]
-    fn multi_modpow_with_zero_exponent_factor() {
-        // A factor with exponent 0 contributes 1 and must not disturb the
-        // shared squaring chain.
-        let m = Ub::from_u64(1000003);
-        let mont = Montgomery::new(&m);
-        let pairs = vec![
-            (Ub::from_u64(2), Ub::from_u64(10)),
-            (Ub::from_u64(999), Ub::zero()),
-            (Ub::from_u64(3), Ub::from_u64(7)),
-        ];
-        // 2^10 * 3^7 = 1024 * 2187 = 2239488 mod 1000003 = 239482.
-        assert_eq!(mont.multi_modpow(&pairs), Ub::from_u64(239482));
     }
 
     #[test]

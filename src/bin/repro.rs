@@ -22,7 +22,8 @@
 //! `loadgen` is not an experiment: it drives the sans-I/O connection API
 //! with N worker threads against a simulated server fleet and prints a
 //! `loadgen/v1` JSON report (deterministic work counts + measured
-//! throughput/latency). `BENCH_7.json` archives its scaling curve.
+//! throughput/latency). `BENCH.json` pins the work counts of its smoke and
+//! bulk profiles; `tests/bench_pins.rs` checks them.
 //!
 //! Absolute counts scale with `--size`; the percentages, orderings and
 //! crossovers are the reproduction targets (see EXPERIMENTS.md).
@@ -105,7 +106,6 @@ struct Args {
     workers: usize,
     telemetry_json: Option<String>,
     telemetry_wall: bool,
-    bench_smoke: bool,
 }
 
 fn parse_args() -> Args {
@@ -118,7 +118,6 @@ fn parse_args() -> Args {
         workers: 0, // 0 = hardware default
         telemetry_json: None,
         telemetry_wall: false,
-        bench_smoke: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -151,22 +150,23 @@ fn parse_args() -> Args {
             "--telemetry-wall" => {
                 args.telemetry_wall = true;
             }
-            "--bench-smoke" => {
-                args.bench_smoke = true;
-            }
             "--help" | "-h" => {
                 println!(
                     "repro [EXPERIMENT] [--size N] [--seed S] [--days D] [--step SECS] \
-                     [--workers N] [--telemetry-json PATH] [--telemetry-wall] [--bench-smoke]\n\
+                     [--workers N] [--telemetry-json PATH] [--telemetry-wall]\n\
                      experiments: all table1..table7 fig1..fig8 google demo tls13 ablation \
                      campaign\n\
                      campaign: sharded daily campaign; deterministic campaign/v1 JSON on stdout\n\
                      --telemetry-wall: include wall-flagged perf metrics (domains/sec, \
-                     peak RSS) in the telemetry JSON — no longer byte-identical\n\
-                     --bench-smoke: skip experiments; print handshake/modexp \
-                     throughput JSON (schema bench-smoke/v2)"
+                     peak RSS) in the telemetry JSON — no longer byte-identical"
                 );
                 std::process::exit(0);
+            }
+            // Reject before any work: an unknown flag must not be taken
+            // for an experiment name and cost a population build first.
+            flag if flag.starts_with('-') => {
+                eprintln!("repro: unknown flag '{flag}'; try --help");
+                std::process::exit(2);
             }
             other => args.experiment = other.to_string(),
         }
@@ -271,16 +271,6 @@ fn main() {
         run_loadgen(&first[1..]);
     }
     let args = parse_args();
-    if args.bench_smoke {
-        // Performance probe, not an experiment: no population build, JSON
-        // on stdout so CI can archive/diff it against BENCH_5.json. The
-        // clock is injected here so ts-bench stays wall-clock-free under
-        // the determinism lint.
-        let t0 = Instant::now();
-        let clock = move || t0.elapsed().as_nanos() as u64;
-        println!("{}", ts_bench::bench_smoke::run(&clock));
-        return;
-    }
     ts_core::par::set_default_workers(args.workers);
     let t0 = Instant::now();
     eprintln!(
